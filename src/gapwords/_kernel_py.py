@@ -1,4 +1,4 @@
-"""Pure-Python path-count kernel; the compiled extension replaces it when built."""
+"""Warshall path-count kernel behind `counting.path_counts`."""
 
 
 def path_count_kernel(rows):

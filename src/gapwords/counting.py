@@ -4,8 +4,10 @@ The number of gap-constrained subwords of a rainbow word depends only on the
 word length and the gap set, so everything here works on the length alone.
 Vertices 1..n with an edge i -> j whenever j - i is an allowed gap form a DAG;
 subwords of length >= 2 correspond to directed paths, and the total count is
-obtained by summing a path-count matrix. All results are plain Python
-integers and never overflow.
+obtained by summing a path-count matrix. That matrix is Toeplitz (the number
+of paths from i to j depends only on j - i), so `complexity` sums it from one
+row; the Warshall engine `path_counts` builds it in full for any DAG. All
+results are plain Python integers and never overflow.
 """
 
 from __future__ import annotations
@@ -13,16 +15,12 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Union
 
+from gapwords._kernel_py import path_count_kernel as _path_count_kernel
 from gapwords.words import GapSet
 
-try:
-    from gapwords._kernel import path_count_kernel as _path_count_kernel
-
-    HAS_COMPILED_KERNEL = True
-except ImportError:  # extension not built; pure-Python fallback
-    from gapwords._kernel_py import path_count_kernel as _path_count_kernel
-
-    HAS_COMPILED_KERNEL = False
+# Only the pure-Python kernel exists; the flag stays public for callers that
+# report which kernel is active.
+HAS_COMPILED_KERNEL = False
 
 GapsLike = Union[GapSet, Iterable[int]]
 Matrix = list[list[int]]
@@ -90,12 +88,31 @@ def add_identity(matrix: Matrix) -> Matrix:
 def complexity(n: int, gaps: GapsLike) -> int:
     """Number of gap-constrained subwords of a rainbow word of length n.
 
-    Works for any gap set: sums every entry of I + W where W holds the path
-    counts of the gap graph. The identity accounts for the n single letters.
+    Works for any gap set: the sum of every entry of I + W, where W holds the
+    path counts of the gap graph and the identity accounts for the n single
+    letters. The entry at (i, i + d) depends only on d. It is the number c[d]
+    of ways to write d as an ordered sum of allowed gaps: c[0] = 1 and
+    c[d] = sum of c[d - g] over allowed g <= d. So the matrix sum is
+    sum of (n - d) * c[d] over 0 <= d < n, and no matrix is built.
+
+    Each c[d] costs one prefix-sum difference per maximal run of consecutive
+    gaps below n, which makes the count O(n * runs) big-integer additions
+    instead of Warshall's O(n^3). `path_counts(gap_adjacency(n, gaps))` is the
+    matrix route to the same value.
     """
     _check_length(n)
-    w = path_counts(gap_adjacency(n, gaps))
-    return n + sum(sum(row) for row in w)
+    runs = GapSet.of(gaps).runs()
+    # prefix[m] = c[0] + ... + c[m - 1]
+    prefix = [0, 1]
+    for d in range(1, n):
+        c = 0
+        for lo, hi in runs:
+            if lo > d:
+                break
+            c += prefix[d - lo + 1] - prefix[max(d - hi, 0)]
+        prefix.append(prefix[-1] + c)
+    # sum over d < n of (n - d) * c[d] = prefix[1] + ... + prefix[n]
+    return sum(prefix)
 
 
 def min_gap_complexity(n: int, d: int) -> int:

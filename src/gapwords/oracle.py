@@ -51,24 +51,25 @@ def count_selections(word: WordLike, gaps: GapsLike) -> int:
 
 
 def is_subword(candidate: str, word: WordLike, gaps: GapsLike) -> bool:
-    """Scan the word for the candidate as a gap-constrained selection."""
+    """Scan the word for the candidate as a gap-constrained selection.
+
+    Depth-first over (position, letters matched) pairs in ascending order of
+    start and gap, with an explicit stack so candidates of any length work;
+    no state is memoised.
+    """
     if not candidate:
         return False
     w = as_word(word)
     text = w.text
     n = len(text)
     steps = [g for g in GapSet.of(gaps) if g < n]
-
-    def match(pos: int, remaining: str) -> bool:
-        if not remaining:
+    stack = [(start, 1) for start in range(n, 0, -1) if text[start - 1] == candidate[0]]
+    while stack:
+        pos, matched = stack.pop()
+        if matched == len(candidate):
             return True
-        for g in steps:
+        for g in reversed(steps):
             nxt = pos + g
-            if nxt <= n and text[nxt - 1] == remaining[0] and match(nxt, remaining[1:]):
-                return True
-        return False
-
-    return any(
-        text[start - 1] == candidate[0] and match(start, candidate[1:])
-        for start in range(1, n + 1)
-    )
+            if nxt <= n and text[nxt - 1] == candidate[matched]:
+                stack.append((nxt, matched + 1))
+    return False

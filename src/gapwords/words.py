@@ -89,6 +89,16 @@ class GapSet:
     def __contains__(self, item: object) -> bool:
         return item in self.gaps
 
+    def runs(self) -> list[tuple[int, int]]:
+        """Maximal runs lo..hi of consecutive gaps, in ascending order."""
+        out: list[tuple[int, int]] = []
+        for g in self.gaps:
+            if out and out[-1][1] == g - 1:
+                out[-1] = (out[-1][0], g)
+            else:
+                out.append((g, g))
+        return out
+
     def bounds_if_contiguous(self) -> tuple[int, int] | None:
         """(lo, hi) when the gaps form the full run lo..hi, else None."""
         if not self.gaps:

@@ -1,6 +1,7 @@
 """CLI behaviour: dispatch, formats, diagnostics, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -25,8 +26,16 @@ class TestGapSpecParsing:
     def test_n_token(self):
         assert parse_gap_spec("2-n-1", n=7).gaps == (2, 3, 4, 5, 6)
         assert parse_gap_spec("n-1", n=5).gaps == (4,)
+        assert parse_gap_spec("1-n-1", n=4).gaps == (1, 2, 3)
+        assert parse_gap_spec("1,n-1", n=9).gaps == (1, 8)
         with pytest.raises(CLIError):
             parse_gap_spec("2-n-1")
+
+    @pytest.mark.parametrize("spec", ["n-10", "n-1-0", "2-n-12", "n-2", "n"])
+    def test_n_token_is_whole(self, spec):
+        # the token n-1 is matched whole, never as a text prefix
+        with pytest.raises(CLIError):
+            parse_gap_spec(spec, n=6)
 
     @pytest.mark.parametrize("bad", ["0", "-2", "x", "3-1", "2--4", "1;2"])
     def test_rejects(self, bad):
@@ -97,6 +106,16 @@ class TestCount:
         )
         assert json.loads(out)["complexity"] == str(2**70 - 1)
 
+    def test_result_past_int_str_digit_limit(self, capsys):
+        # 4,981 digits, above CPython's default 4,300-digit limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(
+            capsys, "count", "--n", "30000", "--gaps", "2-4", "--method", "recurrence"
+        )
+        assert code == 0 and err == ""
+        assert len(out.strip()) == 4981
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -108,6 +127,7 @@ class TestCount:
             ["count", "--n", "6", "--gaps", "1", "--method", "prefix"],  # n < 2d-2
             ["count", "--n", "0", "--gaps", "1"],
             ["count", "--n", "5", "--gaps", "0-3"],
+            ["count", "--n", "6", "--gaps", "n-10"],
         ],
     )
     def test_diagnostics_exit_nonzero(self, capsys, argv):

@@ -61,6 +61,11 @@ class TestGapSet:
         assert GapSet.of([1, 3]).bounds_if_contiguous() is None
         assert GapSet.of(()).bounds_if_contiguous() is None
 
+    def test_runs(self):
+        assert GapSet.of([7, 1, 2, 3, 5, 8, 9]).runs() == [(1, 3), (5, 5), (7, 9)]
+        assert GapSet.of([4]).runs() == [(4, 4)]
+        assert GapSet.of(()).runs() == []
+
     def test_large_gaps_inert(self):
         # values at or beyond the word length are legal, they just never fire
         assert oracle.count_selections("abc", GapSet.of([5])) == 3
@@ -117,6 +122,11 @@ class TestOracle:
         assert not oracle.is_subword("ad", "abcd", {1, 2})
         assert not oracle.is_subword("", "abcd", {1})
         assert oracle.is_subword("aba", "aabbbaaa", range(3, 8))
+
+    def test_is_subword_long_candidate(self):
+        # one stack frame per letter would pass the default recursion limit
+        assert oracle.is_subword("ab" * 600, "ab" * 700, {1, 2})
+        assert not oracle.is_subword("x" + "a" * 1200 + "c", "x" + "a" * 1200 + "b", {1})
 
     def test_occurrences_diverge_from_distinct_strings(self):
         # aaa with gap 1: selections a(x3), aa(x2), aaa but only 3 strings
