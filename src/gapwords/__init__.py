@@ -2,9 +2,10 @@
 
 Exact counting and enumeration of subwords whose consecutive letters sit at
 distances taken from a prescribed gap set, for rainbow words (all letters
-distinct) and beyond: a Warshall-style matrix engine, closed-form binomial
-sums, tail-count recurrences with their generating-function expansions, and a
-naive brute-force oracle everything is cross-checked against.
+distinct) and beyond: one tail-count recurrence engine behind the counts and
+the generating-function series, a Warshall-style matrix engine, closed-form
+binomial sums, the paper's direct recurrence, and a naive brute-force oracle
+everything is cross-checked against.
 """
 
 from gapwords.counting import (

@@ -5,9 +5,9 @@ word length and the gap set, so everything here works on the length alone.
 Vertices 1..n with an edge i -> j whenever j - i is an allowed gap form a DAG;
 subwords of length >= 2 correspond to directed paths, and the total count is
 obtained by summing a path-count matrix. That matrix is Toeplitz (the number
-of paths from i to j depends only on j - i), so `complexity` sums it from one
-row; the Warshall engine `path_counts` builds it in full for any DAG. All
-results are plain Python integers and never overflow.
+of paths from i to j depends only on j - i), so `complexity` sums it from the
+tail counts of `_tail_counts`, which the series in `intervals` also read;
+`path_counts` builds it in full for any DAG. Results are exact Python integers.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Union
 
-from gapwords._kernel_py import path_count_kernel as _path_count_kernel
 from gapwords.words import GapSet
 
 # Only the pure-Python kernel exists; the flag stays public for callers that
@@ -90,29 +89,34 @@ def complexity(n: int, gaps: GapsLike) -> int:
 
     Works for any gap set: the sum of every entry of I + W, where W holds the
     path counts of the gap graph and the identity accounts for the n single
-    letters. The entry at (i, i + d) depends only on d. It is the number c[d]
-    of ways to write d as an ordered sum of allowed gaps: c[0] = 1 and
-    c[d] = sum of c[d - g] over allowed g <= d. So the matrix sum is
-    sum of (n - d) * c[d] over 0 <= d < n, and no matrix is built.
-
-    Each c[d] costs one prefix-sum difference per maximal run of consecutive
-    gaps below n, which makes the count O(n * runs) big-integer additions
-    instead of Warshall's O(n^3). `path_counts(gap_adjacency(n, gaps))` is the
-    matrix route to the same value.
+    letters. The entry at (i, i + d) depends only on d, so column j of the
+    matrix sums to the number a[j] of subwords ending at position j, and the
+    count is a[1] + ... + a[n] from `_tail_counts`; no matrix is built.
+    `path_counts(gap_adjacency(n, gaps))` is the matrix route to the same value.
     """
     _check_length(n)
-    runs = GapSet.of(gaps).runs()
-    # prefix[m] = c[0] + ... + c[m - 1]
-    prefix = [0, 1]
-    for d in range(1, n):
-        c = 0
+    return sum(_tail_counts(n, GapSet.of(gaps).runs()))
+
+
+def _tail_counts(n: int, runs: list[tuple[int, int]]) -> list[int]:
+    """Subwords ending at positions 1..n for the gap set with these maximal runs.
+
+    a[i] = 1 + sum of a[i - g] over allowed g < i, with a[0] = 0: the single
+    letter at i, or a subword ending at i - g extended by gap g. Subtracting
+    the same sum for a[i - 1] leaves, for each run lo..hi, only its two ends,
+    a[i] = a[i - 1] + sum over runs of (a[i - lo] - a[i - hi - 1]) with
+    out-of-range indices read as a[0]. That is O(n * runs) big-integer
+    additions; the series of a is z / ((1 - z)(1 - sum of z^g)).
+    """
+    a = [0, 1]
+    for i in range(2, n + 1):
+        v = a[i - 1]
         for lo, hi in runs:
-            if lo > d:
+            if lo >= i:
                 break
-            c += prefix[d - lo + 1] - prefix[max(d - hi, 0)]
-        prefix.append(prefix[-1] + c)
-    # sum over d < n of (n - d) * c[d] = prefix[1] + ... + prefix[n]
-    return sum(prefix)
+            v += a[i - lo] - a[max(i - hi - 1, 0)]
+        a.append(v)
+    return a[1:]
 
 
 def min_gap_complexity(n: int, d: int) -> int:
@@ -151,17 +155,15 @@ def single_gap_complexity(n: int, d: int) -> int:
 def gap_range_upper_bound(n: int, d1: int, d2: int) -> int:
     """Upper bound for the contiguous gap range {d1, ..., d2}.
 
-    n plus the min-gap-d1 binomial sum, minus the matching sum for gaps above
-    d2. Not tight in general: a subword may mix gaps inside and outside the
-    range and then survives the subtraction.
+    The min-gap-d1 count minus the min-gap-(d2+1) count, plus the n single
+    letters both of them include. Not tight in general: a subword may mix gaps
+    inside and outside the range and then survives the subtraction.
     """
     _check_length(n)
     _check_gap(d1)
     if d2 < d1:
         raise ValueError(f"need d1 <= d2, got d1={d1}, d2={d2}")
-    gained = sum(binomial(n - (d1 - 1) * k, k + 1) for k in range(1, (n - 1) // d1 + 1))
-    lost = sum(binomial(n - d2 * k, k + 1) for k in range(1, (n - 1) // (d2 + 1) + 1))
-    return n + gained - lost
+    return n + min_gap_complexity(n, d1) - min_gap_complexity(n, d2 + 1)
 
 
 def _check_length(n: int) -> None:
@@ -172,6 +174,27 @@ def _check_length(n: int) -> None:
 def _check_gap(d: int) -> None:
     if d < 1:
         raise ValueError(f"gap must be >= 1, got {d}")
+
+
+def _path_count_kernel(rows):
+    """Warshall-style accumulation w[i][j] += w[i][k] * w[k][j] over growing k.
+
+    rows must be strictly upper triangular, so only i < k < j can contribute
+    and the loop ranges encode that directly. Returns fresh lists; entries are
+    plain Python integers and never overflow.
+    """
+    n = len(rows)
+    w = [list(row) for row in rows]
+    for k in range(n):
+        wk = w[k]
+        for i in range(k):
+            wi = w[i]
+            wik = wi[k]
+            if wik:
+                for j in range(k + 1, n):
+                    if wk[j]:
+                        wi[j] += wik * wk[j]
+    return w
 
 
 def _checked_adjacency(matrix: Matrix) -> Matrix:

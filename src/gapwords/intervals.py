@@ -2,15 +2,17 @@
 
 Per-position tail counts satisfy a short linear recurrence, their prefix sums
 give the complexity, and both sequences are coefficient streams of rational
-generating functions. Series are expanded with exact integer arithmetic, never
-floating-point division.
+generating functions. The series and the three-term recurrence are read from
+`counting._tail_counts`, the engine behind `counting.complexity`, in exact
+integer arithmetic. `tail_counts` keeps the paper's direct recurrence as the
+independent route that `gap_range_complexity` sums.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from gapwords.counting import _check_gap, _check_length, binomial, min_gap_complexity
+from gapwords.counting import _check_gap, _check_length, _tail_counts, binomial, min_gap_complexity
 
 
 class CorrespondenceResult(NamedTuple):
@@ -41,21 +43,12 @@ def tail_counts(n: int, d1: int, d2: int) -> list[int]:
 def tail_counts_simplified(n: int, d1: int, d2: int) -> list[int]:
     """Same sequence via the three-term form a[i] = a[i-1] + a[i-d1] - a[i-1-d2].
 
-    The subtraction trick only holds from i = 2 on, so a[1] = 1 is seeded
-    explicitly; out-of-range indices count as zero.
+    The one run d1..d2 telescopes to its two ends, so this is
+    `counting._tail_counts` on that run; out-of-range indices count as zero.
     """
     _check_length(n)
     _check_span(d1, d2)
-    a = [0] * (n + 1)
-    a[1] = 1
-    for i in range(2, n + 1):
-        v = a[i - 1]
-        if i - d1 >= 1:
-            v += a[i - d1]
-        if i - 1 - d2 >= 1:
-            v -= a[i - 1 - d2]
-        a[i] = v
-    return a[1:]
+    return _tail_counts(n, [(d1, d2)])
 
 
 def gap_range_complexity(n: int, d1: int, d2: int) -> int:
@@ -69,26 +62,14 @@ def gap_range_complexity(n: int, d1: int, d2: int) -> int:
 def tail_count_series(d1: int, d2: int, count: int) -> list[int]:
     """Coefficients 0..count of z / (z^(d2+1) - z^d1 - z + 1).
 
-    Expanded through the linear recurrence the denominator polynomial
-    induces; coefficient i equals the tail count at position i, and
+    The denominator is (1 - z)(1 - z^d1 - ... - z^d2), so coefficient i is
+    the tail count at position i from the three-term recurrence, and
     coefficient 0 is always 0 because the numerator is z.
     """
     _check_span(d1, d2)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    den = [0] * (d2 + 2)
-    den[0] += 1
-    den[1] -= 1
-    den[d1] -= 1
-    den[d2 + 1] += 1
-    coeffs = [0] * (count + 1)
-    for i in range(1, count + 1):
-        acc = 1 if i == 1 else 0  # numerator z
-        for j in range(1, min(i, d2 + 1) + 1):
-            if den[j]:
-                acc -= den[j] * coeffs[i - j]
-        coeffs[i] = acc  # den[0] == 1
-    return coeffs
+    return [0] + _tail_counts(count, [(d1, d2)])
 
 
 def complexity_series(d1: int, d2: int, count: int) -> list[int]:

@@ -1,10 +1,14 @@
 """CLI behaviour: dispatch, formats, diagnostics, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gapwords
 from gapwords.cli import CLIError, format_gaps, main, parse_gap_spec
 from gapwords.words import GapSet
 
@@ -266,3 +270,25 @@ class TestDot:
     def test_positional_labels_beyond_alphabet(self, capsys):
         _, out, _ = run_cli(capsys, "dot", "--n", "30", "--gaps", "29")
         assert "x1 -> x30;" in out
+
+
+class TestEntryPoint:
+    def test_reader_closing_early_is_quiet(self):
+        # `gapwords series ... | head -1`: the series runs to about 1.5 MB,
+        # far past a pipe's buffer, so the child is still writing when the
+        # reader goes away.
+        src = str(Path(gapwords.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["series", "--d1", "2", "--d2", "4", "--count", "5000", "--which", "a"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gapwords.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"1,1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

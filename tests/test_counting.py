@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from gapwords import counting, oracle
-from gapwords._kernel_py import path_count_kernel as pure_kernel
+from gapwords.counting import _path_count_kernel as pure_kernel
 from gapwords.counting import (
     add_identity,
     binomial,

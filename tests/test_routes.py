@@ -3,13 +3,15 @@
 The Toeplitz-row count `complexity` is checked against the Warshall matrix
 sum and the brute-force oracle where those can run, and against the closed
 forms and the range recurrence at word lengths where only fast routes run.
+Its engine `_tail_counts` is checked position by position against the
+Warshall columns, and the series built on it against the direct recurrence.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapwords import counting, intervals, oracle
-from gapwords.words import rainbow_word
+from gapwords.words import GapSet, rainbow_word
 
 
 def warshall_sum(n, gaps):
@@ -24,6 +26,7 @@ def word_and_gaps(max_n, max_gap):
 
 
 big_n = st.integers(1000, 2000)
+series_n = st.integers(1000, 3000)
 
 
 @settings(max_examples=200, deadline=None)
@@ -41,6 +44,27 @@ def test_small_words_match_oracle(case):
 def test_matches_warshall_sum(case):
     n, gaps = case
     assert counting.complexity(n, gaps) == warshall_sum(n, gaps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_and_gaps(40, lambda n: 2 * n))
+@example((40, frozenset()))
+@example((40, frozenset(range(40, 80))))
+@example((40, frozenset({1, 3, 4, 5, 9, 17, 18, 39})))
+def test_tail_counts_match_warshall_columns(case):
+    # subwords ending at position j: the single letter plus column j of W
+    n, gaps = case
+    w = counting.path_counts(counting.gap_adjacency(n, gaps))
+    columns = [1 + sum(row[j] for row in w) for j in range(n)]
+    assert counting._tail_counts(n, GapSet.of(gaps).runs()) == columns
+
+
+@settings(max_examples=20, deadline=None)
+@given(series_n, st.integers(1, 3100), st.integers(0, 30))
+def test_series_match_direct_recurrence(n, d1, width):
+    d2 = d1 + width
+    assert intervals.tail_count_series(d1, d2, n)[1:] == intervals.tail_counts(n, d1, d2)
+    assert intervals.complexity_series(d1, d2, n)[n] == intervals.gap_range_complexity(n, d1, d2)
 
 
 @settings(max_examples=20, deadline=None)
