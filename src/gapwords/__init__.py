@@ -17,7 +17,6 @@ from gapwords.counting import (
     gap_range_upper_bound,
     min_gap_complexity,
     path_counts,
-    path_counts_by_powers,
     prefix_gap_complexity,
     single_gap_complexity,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "binomial",
     "gap_adjacency",
     "path_counts",
-    "path_counts_by_powers",
     "add_identity",
     "complexity",
     "min_gap_complexity",

@@ -51,29 +51,16 @@ def path_counts(matrix: Matrix) -> Matrix:
     Equivalent to summing all positive powers of the adjacency matrix, but
     computed in one Warshall-style triple loop.
     """
-    rows = _checked_adjacency(matrix)
-    return _path_count_kernel(rows)
-
-
-def path_counts_by_powers(matrix: Matrix) -> Matrix:
-    """Reference route for path_counts: accumulate A + A^2 + ... until powers vanish.
-
-    Kept independent of the kernel so the two can be checked against each
-    other. The adjacency is nilpotent, so the loop ends within n steps.
-    """
-    rows = _checked_adjacency(matrix)
-    n = len(rows)
-    total = [row[:] for row in rows]
-    power = rows
-    while True:
-        power = _matmul(power, rows)
-        if not any(any(row) for row in power):
-            return total
-        for i in range(n):
-            trow = total[i]
-            prow = power[i]
-            for j in range(n):
-                trow[j] += prow[j]
+    n = len(matrix)
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise ValueError("adjacency matrix must be square")
+        for j, v in enumerate(row):
+            if v not in (0, 1):
+                raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
+            if v and j <= i:
+                raise ValueError("adjacency must be strictly upper triangular")
+    return _path_count_kernel(matrix)
 
 
 def add_identity(matrix: Matrix) -> Matrix:
@@ -195,33 +182,3 @@ def _path_count_kernel(rows):
                     if wk[j]:
                         wi[j] += wik * wk[j]
     return w
-
-
-def _checked_adjacency(matrix: Matrix) -> Matrix:
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("adjacency matrix must be square")
-        for j, v in enumerate(row):
-            if v not in (0, 1):
-                raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
-            if v and j <= i:
-                raise ValueError("adjacency must be strictly upper triangular")
-    return rows
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            aik = arow[k]
-            if aik:
-                brow = b[k]
-                for j in range(n):
-                    if brow[j]:
-                        orow[j] += aik * brow[j]
-    return out

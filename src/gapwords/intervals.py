@@ -10,6 +10,7 @@ independent route that `gap_range_complexity` sums.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from gapwords.counting import _check_gap, _check_length, _tail_counts, binomial, min_gap_complexity
@@ -77,11 +78,7 @@ def complexity_series(d1: int, d2: int, count: int) -> list[int]:
 
     Equivalent to dividing the tail series by 1 - z.
     """
-    a = tail_count_series(d1, d2, count)
-    out = [0] * (count + 1)
-    for i in range(1, count + 1):
-        out[i] = out[i - 1] + a[i]
-    return out
+    return list(accumulate(tail_count_series(d1, d2, count)))
 
 
 def gap_pair_complexity(n: int, d: int) -> int:

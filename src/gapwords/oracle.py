@@ -17,22 +17,22 @@ GapsLike = Union[GapSet, Iterable[int]]
 
 
 def iter_selections(word: WordLike, gaps: GapsLike) -> Iterator[IndexSelection]:
-    """Depth-first walk over start positions, then gap choices, in ascending order."""
+    """Depth-first walk over start positions, then gap choices, in ascending order.
+
+    Each selection comes before its extensions. The walk keeps an explicit
+    stack of index tuples, so selections of any length work.
+    """
     w = as_word(word)
     n = len(w)
     steps = [g for g in GapSet.of(gaps) if g < n]
-
-    def walk(chosen: list[int]) -> Iterator[IndexSelection]:
-        yield IndexSelection(tuple(chosen))
+    stack = [(start,) for start in range(n, 0, -1)]
+    while stack:
+        chosen = stack.pop()
+        yield IndexSelection(chosen)
         last = chosen[-1]
-        for g in steps:
+        for g in reversed(steps):
             if last + g <= n:
-                chosen.append(last + g)
-                yield from walk(chosen)
-                chosen.pop()
-
-    for start in range(1, n + 1):
-        yield from walk([start])
+                stack.append(chosen + (last + g,))
 
 
 def enumerate_subwords(word: WordLike, gaps: GapsLike) -> set[str]:

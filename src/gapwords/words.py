@@ -101,12 +101,8 @@ class GapSet:
 
     def bounds_if_contiguous(self) -> tuple[int, int] | None:
         """(lo, hi) when the gaps form the full run lo..hi, else None."""
-        if not self.gaps:
-            return None
-        lo, hi = self.gaps[0], self.gaps[-1]
-        if hi - lo + 1 == len(self.gaps):
-            return lo, hi
-        return None
+        runs = self.runs()
+        return runs[0] if len(runs) == 1 else None
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gapwords
+from gapwords import counting
 from gapwords.cli import CLIError, format_gaps, main, parse_gap_spec
 from gapwords.words import GapSet
 
@@ -17,6 +18,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_subprocess(*argv, **kwargs):
+    """Run `python -m gapwords.cli` on this checkout's sources."""
+    src = str(Path(gapwords.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "gapwords.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        **kwargs,
+    )
 
 
 class TestGapSpecParsing:
@@ -34,6 +48,23 @@ class TestGapSpecParsing:
         assert parse_gap_spec("1,n-1", n=9).gaps == (1, 8)
         with pytest.raises(CLIError):
             parse_gap_spec("2-n-1")
+
+    def test_ranges_stop_at_word_length(self):
+        assert parse_gap_spec("2-100000", n=10).gaps == tuple(range(2, 10))
+        assert parse_gap_spec("1,50-60", n=10).gaps == (1, 50)  # a range past n keeps its start
+        assert parse_gap_spec("50", n=10).gaps == (50,)
+        assert parse_gap_spec("2-100").gaps == tuple(range(2, 101))  # no length, no clipping
+
+    def test_huge_range_in_bounded_memory(self):
+        # 300M gaps would need gigabytes as a list; the child gets 1 GB of address space
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = cli_subprocess("count", "--n", "10", "--gaps", "1-300000000", preexec_fn=limit_memory)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, b"1023\n", b"")
 
     @pytest.mark.parametrize("spec", ["n-10", "n-1-0", "2-n-12", "n-2", "n"])
     def test_n_token_is_whole(self, spec):
@@ -65,6 +96,9 @@ class TestCount:
             (["count", "--n", "6", "--gaps", "1-3", "--method", "prefix"], "58"),
             (["count", "--n", "4", "--gaps", "1,3", "--method", "formula-1d"], "11"),
             (["count", "--n", "3", "--gaps", "{}"], "3"),
+            (["count", "--n", "7", "--gaps", "4-100", "--method", "super-d"], "13"),
+            (["count", "--n", "6", "--gaps", "1-100", "--method", "prefix"], "63"),
+            (["count", "--n", "10", "--gaps", "50", "--method", "single-gap"], "10"),
         ],
     )
     def test_plain_values(self, capsys, argv, expected):
@@ -94,6 +128,10 @@ class TestCount:
         record = json.loads(out)
         assert record == {"n": 6, "gaps": [2, 3, 4, 5], "method": "matrix", "complexity": "20"}
         assert json.loads(json.dumps(record)) == record
+
+    def test_json_lists_clipped_gaps(self, capsys):
+        _, out, _ = run_cli(capsys, "count", "--n", "6", "--gaps", "2-99", "--format", "json")
+        assert json.loads(out)["gaps"] == [2, 3, 4, 5]
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(
@@ -248,6 +286,17 @@ class TestCheck:
         assert code == 0
         assert "oracle(n=4): matrix=recurrence=oracle over all gap sets (8): PASS" in out
 
+    def test_closed_form_fault_is_caught(self, capsys, monkeypatch):
+        single_gap = counting.single_gap_complexity
+        monkeypatch.setattr(
+            counting,
+            "single_gap_complexity",
+            lambda n, d: single_gap(n, d) + (n == 7),
+        )
+        code, out, _ = run_cli(capsys, "check", "--n-max", "8")
+        assert code == 1
+        assert "single-gap mismatch" in out
+
 
 class TestDot:
     def test_worked_graph(self, capsys):
@@ -267,6 +316,13 @@ class TestDot:
         _, out, _ = run_cli(capsys, "dot", "--n", "4", "--gaps", "1,3")
         assert out.count("->") == 4
 
+    def test_edge_order(self, capsys):
+        _, out, _ = run_cli(capsys, "dot", "--n", "6", "--gaps", "1,3")
+        edges = [line.strip() for line in out.splitlines() if "->" in line]
+        assert edges == [
+            "a -> b;", "a -> d;", "b -> c;", "b -> e;", "c -> d;", "c -> f;", "d -> e;", "e -> f;",
+        ]
+
     def test_positional_labels_beyond_alphabet(self, capsys):
         _, out, _ = run_cli(capsys, "dot", "--n", "30", "--gaps", "29")
         assert "x1 -> x30;" in out
@@ -277,15 +333,7 @@ class TestEntryPoint:
         # `gapwords series ... | head -1`: the series runs to about 1.5 MB,
         # far past a pipe's buffer, so the child is still writing when the
         # reader goes away.
-        src = str(Path(gapwords.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        argv = ["series", "--d1", "2", "--d2", "4", "--count", "5000", "--which", "a"]
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "gapwords.cli", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        proc = cli_subprocess("series", "--d1", "2", "--d2", "4", "--count", "5000", "--which", "a")
         assert proc.stdout.readline() == b"1,1\n"
         proc.stdout.close()
         err = proc.stderr.read()

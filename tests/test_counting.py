@@ -14,11 +14,10 @@ from gapwords.counting import (
     gap_range_upper_bound,
     min_gap_complexity,
     path_counts,
-    path_counts_by_powers,
     prefix_gap_complexity,
     single_gap_complexity,
 )
-from gapwords.words import rainbow_word
+from gapwords.words import GapSet, rainbow_word
 
 ADJ_6 = [
     [0, 0, 1, 1, 1, 1],
@@ -91,11 +90,16 @@ class TestPathCounts:
             [0, 0, 0, 0],
         ]
 
-    def test_matches_power_sum_exhaustively(self):
+    def test_matches_toeplitz_row_exhaustively(self):
+        # W[i][j] counts the paths of length j - i; the tail-count engine
+        # gives that row as differences of its column sums
         for n in range(1, 9):
             for m in all_gap_sets(n):
-                adj = gap_adjacency(n, m)
-                assert path_counts(adj) == path_counts_by_powers(adj), (n, m)
+                a = [0] + counting._tail_counts(n, GapSet.of(m).runs())
+                row = [a[d + 1] - a[d] for d in range(n)]
+                w = path_counts(gap_adjacency(n, m))
+                expected = [[row[j - i] if j > i else 0 for j in range(n)] for i in range(n)]
+                assert w == expected, (n, m)
 
     def test_result_strictly_upper_triangular(self):
         w = path_counts(gap_adjacency(7, [1, 2, 3]))

@@ -1,6 +1,6 @@
 """Word types, gap sets, selections, and the brute-force oracle."""
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -113,9 +113,15 @@ class TestOracle:
 
     def test_selection_order_is_depth_first(self):
         picked = [s.indices for s in oracle.iter_selections("abcd", {1, 3})]
-        assert picked[0] == (1,)
-        assert (1, 2, 3, 4) in picked and (1, 4) in picked
-        assert len(picked) == 11
+        assert picked == [
+            (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 4),
+            (2,), (2, 3), (2, 3, 4), (3,), (3, 4), (4,),
+        ]
+
+    def test_long_selections(self):
+        # one stack frame per position would pass the default recursion limit
+        first = list(islice(oracle.iter_selections("x" * 1200, [1]), 1200))
+        assert first[-1].indices == tuple(range(1, 1201))
 
     def test_is_subword(self):
         assert oracle.is_subword("ad", "abcd", {3})
