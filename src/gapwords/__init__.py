@@ -3,9 +3,10 @@
 Exact counting and enumeration of subwords whose consecutive letters sit at
 distances taken from a prescribed gap set, for rainbow words (all letters
 distinct) and beyond: one tail-count recurrence engine behind the counts and
-the generating-function series, a Warshall-style matrix engine, closed-form
-binomial sums, the paper's direct recurrence, and a naive brute-force oracle
-everything is cross-checked against.
+the generating-function series, one Warshall-type pass that fills both the
+path-count matrix and the matrix of subword sets, closed-form binomial sums,
+the paper's direct recurrence, and a naive brute-force oracle everything is
+cross-checked against.
 """
 
 from gapwords.counting import (

@@ -108,7 +108,7 @@ def _dispatch_count(n: int, gs: GapSet, method: str) -> int:
         except ValueError as err:
             raise CLIError(str(err)) from err
     if method == "formula-1d":
-        if len(gs) != 2 or gs.gaps[0] != 1 or gs.gaps[1] < 2:
+        if len(gs) != 2 or gs.gaps[0] != 1:
             raise CLIError("method formula-1d needs gaps 1,d with d >= 2")
         return intervals.gap_pair_complexity(n, gs.gaps[1])
     raise CLIError(f"unknown method {method!r}")
@@ -233,7 +233,8 @@ def _check_oracle_line(n: int, rng: random.Random) -> tuple[str, bool]:
         if listed != oracle.enumerate_subwords(word, m):
             return f"oracle(n={n}): enumeration mismatch for gaps {m}: FAIL", False
     kinds = "all" if n <= 8 else "200 sampled"
-    return f"oracle(n={n}): matrix=recurrence=oracle over {kinds} gap sets ({len(gap_sets)}): PASS", True
+    label = "Warshall=methods=enumeration=oracle"
+    return f"oracle(n={n}): {label} over {kinds} gap sets ({len(gap_sets)}): PASS", True
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -375,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except CLIError as err:
         print(f"gapwords: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"gapwords: out of memory in {args.command}; try a smaller input", file=sys.stderr)
         return 2
     finally:
         if saved_limit is not None:

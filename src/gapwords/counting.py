@@ -6,14 +6,16 @@ Vertices 1..n with an edge i -> j whenever j - i is an allowed gap form a DAG;
 subwords of length >= 2 correspond to directed paths, and the total count is
 obtained by summing a path-count matrix. That matrix is Toeplitz (the number
 of paths from i to j depends only on j - i), so `complexity` sums it from the
-tail counts of `_tail_counts`, which the series in `intervals` also read;
-`path_counts` builds it in full for any DAG. Results are exact Python integers.
+tail counts of `_tail_counts`, which keeps only the last (largest gap + 1)
+of them and which the series in `intervals` also read. `path_counts` builds
+the matrix in full for any DAG by `warshall`, the one pass that `latin` also
+runs on subword sets. Results are exact Python integers.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from gapwords.words import GapSet
 
@@ -49,17 +51,12 @@ def path_counts(matrix: Matrix) -> Matrix:
     Input must be a strictly upper triangular 0/1 adjacency (a DAG whose
     topological order is the index order); anything else raises ValueError.
     Equivalent to summing all positive powers of the adjacency matrix, but
-    computed in one Warshall-style triple loop.
+    computed in one pass of `warshall`.
     """
-    n = len(matrix)
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError("adjacency matrix must be square")
-        for j, v in enumerate(row):
+    for row in matrix:
+        for v in row:
             if v not in (0, 1):
                 raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
-            if v and j <= i:
-                raise ValueError("adjacency must be strictly upper triangular")
     return _path_count_kernel(matrix)
 
 
@@ -85,7 +82,7 @@ def complexity(n: int, gaps: GapsLike) -> int:
     return sum(_tail_counts(n, GapSet.of(gaps).runs()))
 
 
-def _tail_counts(n: int, runs: list[tuple[int, int]]) -> list[int]:
+def _tail_counts(n: int, runs: list[tuple[int, int]]) -> Iterator[int]:
     """Subwords ending at positions 1..n for the gap set with these maximal runs.
 
     a[i] = 1 + sum of a[i - g] over allowed g < i, with a[0] = 0: the single
@@ -93,17 +90,22 @@ def _tail_counts(n: int, runs: list[tuple[int, int]]) -> list[int]:
     the same sum for a[i - 1] leaves, for each run lo..hi, only its two ends,
     a[i] = a[i - 1] + sum over runs of (a[i - lo] - a[i - hi - 1]) with
     out-of-range indices read as a[0]. That is O(n * runs) big-integer
-    additions; the series of a is z / ((1 - z)(1 - sum of z^g)).
+    additions; the series of a is z / ((1 - z)(1 - sum of z^g)). Gaps beyond
+    n - 1 are never usable, so the runs are clipped there and a ring holds the
+    last (largest gap + 1) values: a[i] sits in slot i % size, and each slot
+    is read before it is overwritten. Slots not yet written read as a[0] = 0.
     """
-    a = [0, 1]
-    for i in range(2, n + 1):
-        v = a[i - 1]
+    runs = [(lo, min(hi, n - 1)) for lo, hi in runs if lo < n]
+    size = runs[-1][1] + 1 if runs else 1
+    ring = [0] * size
+    v = 1
+    for i in range(1, n + 1):
         for lo, hi in runs:
             if lo >= i:
                 break
-            v += a[i - lo] - a[max(i - hi - 1, 0)]
-        a.append(v)
-    return a[1:]
+            v += ring[(i - lo) % size] - ring[(i - hi - 1) % size]
+        ring[i % size] = v
+        yield v
 
 
 def min_gap_complexity(n: int, d: int) -> int:
@@ -164,21 +166,38 @@ def _check_gap(d: int) -> None:
 
 
 def _path_count_kernel(rows):
-    """Warshall-style accumulation w[i][j] += w[i][k] * w[k][j] over growing k.
+    """Path counts by `warshall`: w[i][j] += w[i][k] * w[k][j] over growing k.
 
-    rows must be strictly upper triangular, so only i < k < j can contribute
-    and the loop ranges encode that directly. Returns fresh lists; entries are
-    plain Python integers and never overflow.
+    Returns fresh lists; entries are plain Python integers and never overflow.
     """
-    n = len(rows)
-    w = [list(row) for row in rows]
+    return warshall([list(row) for row in rows], lambda cell, left, right: cell + left * right)
+
+
+def warshall(cells: list[list], extend: Callable) -> list[list]:
+    """The paper's Warshall-type pass over a DAG in index order, in place.
+
+    cells must be square and empty (falsy) on and below the diagonal, or
+    ValueError is raised. For k = 0, 1, ... and every i < k < j with cells
+    (i, k) and (k, j) both nonempty, cell (i, j) becomes
+    extend(cell, left, right). Cells (i, k) and (k, j) are never written
+    while k is the join point, so one sweep reaches the fixpoint: every path
+    i -> j with an intermediate vertex is joined exactly once, at its last
+    one. Returns cells.
+    """
+    n = len(cells)
+    for i, row in enumerate(cells):
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        if any(row[: i + 1]):
+            raise ValueError("cells on and below the diagonal must be empty")
     for k in range(n):
-        wk = w[k]
+        wk = cells[k]
         for i in range(k):
-            wi = w[i]
-            wik = wi[k]
-            if wik:
+            wi = cells[i]
+            left = wi[k]
+            if left:
                 for j in range(k + 1, n):
-                    if wk[j]:
-                        wi[j] += wik * wk[j]
-    return w
+                    right = wk[j]
+                    if right:
+                        wi[j] = extend(wi[j], left, right)
+    return cells

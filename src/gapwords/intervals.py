@@ -49,7 +49,7 @@ def tail_counts_simplified(n: int, d1: int, d2: int) -> list[int]:
     """
     _check_length(n)
     _check_span(d1, d2)
-    return _tail_counts(n, [(d1, d2)])
+    return list(_tail_counts(n, [(d1, d2)]))
 
 
 def gap_range_complexity(n: int, d1: int, d2: int) -> int:
@@ -70,7 +70,7 @@ def tail_count_series(d1: int, d2: int, count: int) -> list[int]:
     _check_span(d1, d2)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    return [0] + _tail_counts(count, [(d1, d2)])
+    return [0, *_tail_counts(count, [(d1, d2)])]
 
 
 def complexity_series(d1: int, d2: int, count: int) -> list[int]:

@@ -1,7 +1,8 @@
 """Set-valued Warshall pass that lists every nontrivial gap-constrained subword.
 
 Instead of path counts, cell (i, j) holds the actual subwords that start at
-position i and end at position j (always length >= 2). Joining through an
+position i and end at position j (always length >= 2). The pass is
+`counting.warshall`, the one that counts paths; joining through an
 intermediate position k concatenates a left witness with a right witness
 whose first letter is erased, so the shared letter at k is not doubled.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
+from gapwords.counting import warshall
 from gapwords.words import GapSet, Word, as_word
 
 SetMatrix = list[list[set[str]]]
@@ -31,24 +33,15 @@ def warshall_latin(matrix: SetMatrix) -> SetMatrix:
     """Grow the seed matrix to a fixpoint; input cells are copied, not mutated.
 
     After the pass, cell (i, j) holds every subword that starts at position i
-    and ends at position j. The k-outer loop order means a cell (i, k) or
-    (k, j) is never modified while k is the join point, so one sweep reaches
-    the fixpoint.
+    and ends at position j. Raises ValueError unless the matrix is square with
+    empty cells on and below the diagonal.
     """
-    w = _checked_cells(matrix)
-    n = len(w)
-    for k in range(n):
-        wk = w[k]
-        for i in range(n):
-            left = w[i][k]
-            if not left:
-                continue
-            wi = w[i]
-            for j in range(n):
-                right = wk[j]
-                if right:
-                    wi[j].update(a + b[1:] for a in left for b in right)
-    return w
+    return warshall([[set(cell) for cell in row] for row in matrix], _concat)
+
+
+def _concat(cell: set[str], left: set[str], right: set[str]) -> set[str]:
+    cell.update(a + b[1:] for a in left for b in right)
+    return cell
 
 
 def nontrivial_subwords(
@@ -68,15 +61,3 @@ def nontrivial_subwords(
     if dedup:
         return sorted(set(found))
     return sorted(found)
-
-
-def _checked_cells(matrix: SetMatrix) -> SetMatrix:
-    rows = [[set(cell) for cell in row] for row in matrix]
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("set matrix must be square")
-        for j in range(i + 1):
-            if row[j]:
-                raise ValueError("cells on or below the diagonal must be empty")
-    return rows

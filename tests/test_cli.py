@@ -66,6 +66,20 @@ class TestGapSpecParsing:
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, out, err) == (0, b"1023\n", b"")
 
+    def test_out_of_memory_is_a_diagnostic(self):
+        # a long word still expands its gap range in full, past the child's 1 GB
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = cli_subprocess(
+            "count", "--n", "300000000", "--gaps", "1-n-1", preexec_fn=limit_memory
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out) == (2, b"")
+        assert err.startswith(b"gapwords: out of memory") and b"Traceback" not in err
+
     @pytest.mark.parametrize("spec", ["n-10", "n-1-0", "2-n-12", "n-2", "n"])
     def test_n_token_is_whole(self, spec):
         # the token n-1 is matched whole, never as a text prefix
@@ -284,7 +298,7 @@ class TestCheck:
     def test_oracle_lines(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--n-max", "4", "--d-max", "2")
         assert code == 0
-        assert "oracle(n=4): matrix=recurrence=oracle over all gap sets (8): PASS" in out
+        assert "oracle(n=4): Warshall=methods=enumeration=oracle over all gap sets (8): PASS" in out
 
     def test_closed_form_fault_is_caught(self, capsys, monkeypatch):
         single_gap = counting.single_gap_complexity

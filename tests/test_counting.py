@@ -1,9 +1,14 @@
 """Matrix engine, Toeplitz-row count, closed forms and the Warshall kernel."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import gapwords
 from gapwords import counting, oracle
 from gapwords.counting import _path_count_kernel as pure_kernel
 from gapwords.counting import (
@@ -95,7 +100,7 @@ class TestPathCounts:
         # gives that row as differences of its column sums
         for n in range(1, 9):
             for m in all_gap_sets(n):
-                a = [0] + counting._tail_counts(n, GapSet.of(m).runs())
+                a = [0] + list(counting._tail_counts(n, GapSet.of(m).runs()))
                 row = [a[d + 1] - a[d] for d in range(n)]
                 w = path_counts(gap_adjacency(n, m))
                 expected = [[row[j - i] if j > i else 0 for j in range(n)] for i in range(n)]
@@ -141,6 +146,29 @@ class TestComplexity:
             w = rainbow_word(n)
             for m in all_gap_sets(n):
                 assert complexity(n, m) == oracle.count_selections(w, m), (n, m)
+
+    def test_long_word_in_bounded_memory(self):
+        # a list of all n tail counts would hold about 370 MB at n=100,000;
+        # the count keeps only the last few, so a 256 MB child finishes
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        n, gaps, p = 100_000, (2, 3, 4), 1_000_000_007
+        src = str(Path(gapwords.__file__).resolve().parents[1])
+        code = f"from gapwords.counting import complexity; print(complexity({n}, {gaps}) % {p})"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        a = [0] * (n + 1)
+        for i in range(1, n + 1):
+            a[i] = (1 + sum(a[i - g] for g in gaps if g < i)) % p
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{sum(a) % p}\n".encode(), b"")
 
 
 class TestClosedForms:

@@ -75,9 +75,17 @@ class TestWarshallLatin:
         final = warshall_latin(initial_latin_matrix("abcd", [1, 3]))
         assert final[0][3] == {"abcd", "ad"}
 
-    def test_rejects_lower_triangle(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param([[set(), {"ab"}], [set()]], id="ragged"),
+            pytest.param([[{"aa"}, set()], [set(), set()]], id="diagonal"),
+            pytest.param([[set(), set()], [{"ba"}, set()]], id="below-diagonal"),
+        ],
+    )
+    def test_rejects_lower_triangle(self, bad):
         with pytest.raises(ValueError):
-            warshall_latin([[set(), set()], [{"ba"}, set()]])
+            warshall_latin(bad)
 
 
 class TestNontrivialSubwords:

@@ -5,12 +5,14 @@ sum and the brute-force oracle where those can run, and against the closed
 forms and the range recurrence at word lengths where only fast routes run.
 Its engine `_tail_counts` is checked position by position against the
 Warshall columns, and the series built on it against the direct recurrence.
+The Warshall pass on counts and on subword sets is checked cell by cell on
+DAGs that are not gap graphs.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapwords import counting, intervals, oracle
+from gapwords import counting, intervals, latin, oracle
 from gapwords.words import GapSet, rainbow_word
 
 
@@ -23,6 +25,15 @@ def word_and_gaps(max_n, max_gap):
     return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(st.just(n), st.frozensets(st.integers(1, max_gap(n))))
     )
+
+
+def upper_triangular(max_n):
+    """A strictly upper triangular 0/1 matrix: any DAG in index order, rarely Toeplitz."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ).map(lambda rows: [[v * (j > i) for j, v in enumerate(row)] for i, row in enumerate(rows)])
 
 
 big_n = st.integers(1000, 2000)
@@ -56,7 +67,18 @@ def test_tail_counts_match_warshall_columns(case):
     n, gaps = case
     w = counting.path_counts(counting.gap_adjacency(n, gaps))
     columns = [1 + sum(row[j] for row in w) for j in range(n)]
-    assert counting._tail_counts(n, GapSet.of(gaps).runs()) == columns
+    assert list(counting._tail_counts(n, GapSet.of(gaps).runs())) == columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(upper_triangular(9))
+def test_subword_sets_match_path_counts(adj):
+    # each edge seeds one two-letter subword, so a cell holds one word per path
+    n = len(adj)
+    text = rainbow_word(n).text
+    seeds = [[{text[i] + text[j]} if adj[i][j] else set() for j in range(n)] for i in range(n)]
+    sizes = [[len(cell) for cell in row] for row in latin.warshall_latin(seeds)]
+    assert sizes == counting.path_counts(adj)
 
 
 @settings(max_examples=20, deadline=None)
