@@ -1,7 +1,8 @@
 """Command-line front end: counting, enumeration, series, self-checks, DOT export.
 
-All values that can grow past 64 bits are serialized as decimal strings in
-JSON and CSV output so any consumer can read them back exactly.
+Results print through one writer, `_write`, which builds the JSON record only
+for json. Values past 64 bits are decimal strings in JSON and CSV, so they
+read back exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import os
 import random
 import re
 import sys
-from itertools import combinations
+from itertools import chain, combinations
+from typing import Callable, Iterable
 
 from gapwords import counting, intervals, latin, oracle
 from gapwords.words import GapSet, Word, rainbow_word
@@ -79,6 +81,20 @@ def format_gaps(gs: GapSet) -> str:
     return ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in gs.runs())
 
 
+def _write(fmt: str, record: Callable, header: list, rows: Iterable, lines: Iterable) -> int:
+    """Print one result as json of `record()`, csv `header` then `rows`, or plain `lines`."""
+    if fmt == "json":
+        print(json.dumps(record()))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -119,16 +135,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise CLIError("--n must be >= 1")
     gs = parse_gap_spec(args.gaps, args.n)
     value = _dispatch_count(args.n, gs, args.method)
-    record = {"n": args.n, "gaps": list(gs), "method": args.method, "complexity": str(value)}
-    if args.format == "json":
-        print(json.dumps(record))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "gaps", "method", "complexity"])
-        writer.writerow([args.n, format_gaps(gs), args.method, str(value)])
-    else:
-        print(value)
-    return 0
+    return _write(
+        args.format,
+        lambda: {"n": args.n, "gaps": list(gs), "method": args.method, "complexity": str(value)},
+        ["n", "gaps", "method", "complexity"], [[args.n, format_gaps(gs), args.method, value]],
+        [value],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +158,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.include_single:
         singles = sorted(set(word.text)) if args.dedup else sorted(word.text)
         found = sorted(found + singles)
-    record = {
-        "word": word.text,
-        "gaps": list(gs),
-        "count": str(len(found)),
-        "subwords": found,
-    }
-    if args.format == "json":
-        print(json.dumps(record))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["subword"])
-        for s in found:
-            writer.writerow([s])
-    else:
-        for s in found:
-            print(s)
-        print(f"count: {len(found)}")
-    return 0
+    return _write(
+        args.format,
+        lambda: {
+            "word": word.text,
+            "gaps": list(gs),
+            "count": str(len(found)),
+            "subwords": found,
+        },
+        ["subword"], ([s] for s in found),
+        chain(found, [f"count: {len(found)}"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +183,17 @@ def _cmd_series(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise CLIError(str(err)) from err
     rows = [(i, coeffs[i]) for i in range(1, args.count + 1)]
-    if args.format == "json":
-        record = {
+    return _write(
+        args.format,
+        lambda: {
             "d1": args.d1,
             "d2": args.d2,
             "which": args.which,
             "coefficients": [{"n": i, "value": str(v)} for i, v in rows],
-        }
-        print(json.dumps(record))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "value"])
-        for i, v in rows:
-            writer.writerow([i, str(v)])
-    else:
-        for i, v in rows:
-            print(f"{i},{v}")
-    return 0
+        },
+        ["n", "value"], rows,
+        (f"{i},{v}" for i, v in rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +228,8 @@ def _check_oracle_line(n: int, rng: random.Random) -> tuple[str, bool]:
                 continue  # the gap set does not have this method's shape
             if value != count:
                 return f"oracle(n={n}): {method} mismatch for gaps {m}: FAIL", False
-        listed = set(latin.nontrivial_subwords(word, m)) | set(word.text)
-        if listed != oracle.enumerate_subwords(word, m):
+        listed = latin.nontrivial_subwords(word, m)
+        if len(listed) != count - n or {*listed, *word.text} != oracle.enumerate_subwords(word, m):
             return f"oracle(n={n}): enumeration mismatch for gaps {m}: FAIL", False
     kinds = "all" if n <= 8 else "200 sampled"
     label = "Warshall=methods=enumeration=oracle"

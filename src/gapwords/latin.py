@@ -11,21 +11,18 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from gapwords.counting import warshall
+from gapwords.counting import gap_adjacency, warshall
 from gapwords.words import GapSet, Word, as_word
 
 SetMatrix = list[list[set[str]]]
 
 
 def initial_latin_matrix(word: Union[Word, str], gaps: Union[GapSet, Iterable[int]]) -> SetMatrix:
-    """Seed matrix: cell (i, j) is {letter_i + letter_j} when j - i is an allowed gap."""
-    w = as_word(word)
-    text = w.text
-    n = len(text)
-    allowed = set(GapSet.of(gaps).gaps)
+    """Seed matrix: cell (i, j) is {letter_i + letter_j} where the gap graph has edge i -> j."""
+    text = as_word(word).text
     return [
-        [{text[i] + text[j]} if (j - i) in allowed else set() for j in range(n)]
-        for i in range(n)
+        [{text[i] + text[j]} if edge else set() for j, edge in enumerate(row)]
+        for i, row in enumerate(gap_adjacency(len(text), gaps))
     ]
 
 

@@ -1,5 +1,7 @@
 """CLI behaviour: dispatch, formats, diagnostics, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gapwords
-from gapwords import counting
+from gapwords import counting, latin
 from gapwords.cli import CLIError, format_gaps, main, parse_gap_spec
 from gapwords.words import GapSet
 
@@ -278,6 +280,45 @@ class TestSeries:
         assert code != 0 and err != ""
 
 
+class TestFormats:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--n", "13", "--gaps", "2-4"),
+            ("count", "--n", "9", "--gaps", "1,3,n-1", "--method", "matrix"),
+            ("enumerate", "--word", "abcde", "--gaps", "1,3", "--include-single"),
+            ("enumerate", "--word", "a,b", "--gaps", "1"),
+            ("series", "--which", "a", "--d1", "2", "--d2", "4", "--count", "13"),
+            ("series", "--which", "K", "--d1", "2", "--d2", "4", "--count", "13"),
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_plain_csv_and_json_carry_the_same_values(self, capsys, argv):
+        outs = {}
+        for fmt in ("plain", "csv", "json"):
+            code, outs[fmt], _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0
+        plain = outs["plain"].splitlines()
+        header, *rows = csv.reader(io.StringIO(outs["csv"]))
+        record = json.loads(outs["json"])
+        if argv[0] == "count":
+            gaps = format_gaps(GapSet(tuple(record["gaps"])))
+            assert header == ["n", "gaps", "method", "complexity"]
+            assert rows == [[str(record["n"]), gaps, record["method"], record["complexity"]]]
+            assert plain == [record["complexity"]]
+        elif argv[0] == "enumerate":
+            subwords = record["subwords"]
+            assert record["count"] == str(len(subwords))
+            assert header == ["subword"]
+            assert rows == [[s] for s in subwords]
+            assert outs["csv"].splitlines()[1:] == [f'"{s}"' if "," in s else s for s in subwords]
+            assert plain == subwords + [f"count: {record['count']}"]
+        else:
+            assert header == ["n", "value"]
+            assert rows == [[str(c["n"]), c["value"]] for c in record["coefficients"]]
+            assert plain == [",".join(row) for row in rows]
+
+
 class TestCheck:
     def test_bound_line_present(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--n-max", "7")
@@ -310,6 +351,18 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--n-max", "8")
         assert code == 1
         assert "single-gap mismatch" in out
+
+    def test_repeated_subword_is_caught(self, capsys, monkeypatch):
+        listing = latin.nontrivial_subwords
+
+        def repeat_first(word, gaps):
+            found = listing(word, gaps)
+            return found + found[:1]
+
+        monkeypatch.setattr(latin, "nontrivial_subwords", repeat_first)
+        code, out, _ = run_cli(capsys, "check", "--n-max", "6")
+        assert code == 1
+        assert "enumeration mismatch" in out
 
 
 class TestDot:
