@@ -27,6 +27,7 @@ from gapwords.intervals import (
     complexity_series,
     gap_pair_complexity,
     gap_range_complexity,
+    series_terms,
     tail_count_series,
     tail_counts,
     tail_counts_simplified,
@@ -57,6 +58,7 @@ __all__ = [
     "tail_counts",
     "tail_counts_simplified",
     "gap_range_complexity",
+    "series_terms",
     "tail_count_series",
     "complexity_series",
     "gap_pair_complexity",

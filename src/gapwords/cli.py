@@ -15,7 +15,7 @@ import random
 import re
 import sys
 from itertools import chain, combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from gapwords import counting, intervals, latin, oracle
 from gapwords.words import GapSet, Word, rainbow_word
@@ -41,7 +41,7 @@ def parse_gap_spec(text: str, n: int | None = None) -> GapSet:
     '{}' (or an empty string) is the empty gap set; the token n-1 resolves
     against the word length when one is known. With a known length, ranges
     stop at n-1 (a range that starts beyond it keeps its start), since longer
-    gaps are never usable.
+    gaps are never usable, and a range up to n-1 that starts past n-1 is empty.
     """
     s = text.strip()
     if s in ("", "{}"):
@@ -67,6 +67,8 @@ def parse_gap_spec(text: str, n: int | None = None) -> GapSet:
         if lo < 1:
             raise CLIError(f"gap values must be >= 1, got {lo}")
         if hi < lo:
+            if m.group(2) == "n-1":
+                continue  # every gap from lo up to n-1: none in a word this short
             raise CLIError(f"empty gap range {item!r}")
         if n is not None:
             hi = min(hi, max(lo, n - 1))
@@ -81,10 +83,31 @@ def format_gaps(gs: GapSet) -> str:
     return ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in gs.runs())
 
 
+def _json_chunks(record: dict) -> Iterator[str]:
+    """`json.dumps(record)` in pieces; an iterator value is written as an array item by item."""
+    yield "{"
+    for k, (key, value) in enumerate(record.items()):
+        yield (", " if k else "") + json.dumps(key) + ": "
+        if isinstance(value, Iterator):
+            yield "["
+            for j, item in enumerate(value):
+                yield (", " if j else "") + json.dumps(item)
+            yield "]"
+        else:
+            yield json.dumps(value)
+    yield "}"
+
+
 def _write(fmt: str, record: Callable, header: list, rows: Iterable, lines: Iterable) -> int:
-    """Print one result as json of `record()`, csv `header` then `rows`, or plain `lines`."""
+    """Print one result as json of `record()`, csv `header` then `rows`, or plain `lines`.
+
+    Every form is written as it is produced, so rows, lines and iterator
+    values of the record can be lazy.
+    """
     if fmt == "json":
-        print(json.dumps(record()))
+        for chunk in _json_chunks(record()):
+            sys.stdout.write(chunk)
+        print()
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
@@ -177,23 +200,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    expand = intervals.tail_count_series if args.which == "a" else intervals.complexity_series
+    # Exact decimals print in linear time where int-to-str is quadratic. The
+    # context never rounds: a term that would need it raises instead.
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+
     try:
-        coeffs = expand(args.d1, args.d2, args.count)
+        terms = intervals.series_terms(args.which, args.d1, args.d2, args.count, Decimal(1))
     except ValueError as err:
         raise CLIError(str(err)) from err
-    rows = [(i, coeffs[i]) for i in range(1, args.count + 1)]
-    return _write(
-        args.format,
-        lambda: {
-            "d1": args.d1,
-            "d2": args.d2,
-            "which": args.which,
-            "coefficients": [{"n": i, "value": str(v)} for i, v in rows],
-        },
-        ["n", "value"], rows,
-        (f"{i},{v}" for i, v in rows),
-    )
+    rows = enumerate(terms, 1)  # consumed once, by whichever form is written
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+    with localcontext(exact):
+        return _write(
+            args.format,
+            lambda: {
+                "d1": args.d1,
+                "d2": args.d2,
+                "which": args.which,
+                "coefficients": ({"n": i, "value": str(v)} for i, v in rows),
+            },
+            ["n", "value"], rows,
+            (f"{i},{v}" for i, v in rows),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +256,9 @@ def _check_oracle_line(n: int, rng: random.Random) -> tuple[str, bool]:
                 continue  # the gap set does not have this method's shape
             if value != count:
                 return f"oracle(n={n}): {method} mismatch for gaps {m}: FAIL", False
+        span = gs.bounds_if_contiguous()
+        if span is not None and sum(intervals.tail_counts(n, *span)) != count:
+            return f"oracle(n={n}): direct recurrence mismatch for gaps {m}: FAIL", False
         listed = latin.nontrivial_subwords(word, m)
         if len(listed) != count - n or {*listed, *word.text} != oracle.enumerate_subwords(word, m):
             return f"oracle(n={n}): enumeration mismatch for gaps {m}: FAIL", False

@@ -7,9 +7,10 @@ subwords of length >= 2 correspond to directed paths, and the total count is
 obtained by summing a path-count matrix. That matrix is Toeplitz (the number
 of paths from i to j depends only on j - i), so `complexity` sums it from the
 tail counts of `_tail_counts`, which keeps only the last (largest gap + 1)
-of them and which the series in `intervals` also read. `path_counts` builds
-the matrix in full for any DAG by `warshall`, the one pass that `latin` also
-runs on subword sets. Results are exact Python integers.
+of them. The range count and the series in `intervals` read the same
+engine, the series in exact decimals when the CLI prints them. `path_counts`
+builds the matrix in full for any DAG by `warshall`, the one pass that
+`latin` also runs on subword sets. Results are exact Python integers.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def complexity(n: int, gaps: GapsLike) -> int:
     return sum(_tail_counts(n, GapSet.of(gaps).runs()))
 
 
-def _tail_counts(n: int, runs: list[tuple[int, int]]) -> Iterator[int]:
+def _tail_counts(n: int, runs: list[tuple[int, int]], one=1) -> Iterator:
     """Subwords ending at positions 1..n for the gap set with these maximal runs.
 
     a[i] = 1 + sum of a[i - g] over allowed g < i, with a[0] = 0: the single
@@ -94,11 +95,15 @@ def _tail_counts(n: int, runs: list[tuple[int, int]]) -> Iterator[int]:
     n - 1 are never usable, so the runs are clipped there and a ring holds the
     last (largest gap + 1) values: a[i] sits in slot i % size, and each slot
     is read before it is overwritten. Slots not yet written read as a[0] = 0.
+
+    The type of `one` sets the arithmetic: plain ints by default, or an exact
+    `decimal.Decimal(1)` for callers that print every term, since Decimal
+    renders in linear time where int-to-str is quadratic.
     """
     runs = [(lo, min(hi, n - 1)) for lo, hi in runs if lo < n]
     size = runs[-1][1] + 1 if runs else 1
-    ring = [0] * size
-    v = 1
+    ring = [one - one] * size
+    v = one
     for i in range(1, n + 1):
         for lo, hi in runs:
             if lo >= i:

@@ -2,16 +2,17 @@
 
 Per-position tail counts satisfy a short linear recurrence, their prefix sums
 give the complexity, and both sequences are coefficient streams of rational
-generating functions. The series and the three-term recurrence are read from
-`counting._tail_counts`, the engine behind `counting.complexity`, in exact
-integer arithmetic. `tail_counts` keeps the paper's direct recurrence as the
-independent route that `gap_range_complexity` sums.
+generating functions. The three-term recurrence, `gap_range_complexity` and
+the series are read from `counting._tail_counts`, the engine behind
+`counting.complexity`. `series_terms` streams the series lazily, in exact
+integers or, for printing, exact decimals; the list forms return ints.
+`tail_counts` keeps the paper's direct recurrence as the independent check.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from gapwords.counting import _check_gap, _check_length, _tail_counts, binomial, min_gap_complexity
 
@@ -55,9 +56,30 @@ def tail_counts_simplified(n: int, d1: int, d2: int) -> list[int]:
 def gap_range_complexity(n: int, d1: int, d2: int) -> int:
     """Exact complexity for the gap range {d1, ..., d2}: the sum of all tail counts.
 
-    Gap values at or beyond n contribute nothing, so d2 may exceed n - 1.
+    The tail counts come from the three-term form, as in
+    `tail_counts_simplified`, in O(n) additions whatever the width of the
+    range. Gap values at or beyond n contribute nothing, so d2 may exceed n - 1.
     """
-    return sum(tail_counts(n, d1, d2))
+    _check_length(n)
+    _check_span(d1, d2)
+    return sum(_tail_counts(n, [(d1, d2)]))
+
+
+def series_terms(which: str, d1: int, d2: int, count: int, one=1) -> Iterator:
+    """Coefficients 1..count of the tail series ("a") or the complexity series ("K").
+
+    The arguments are checked before the first term, and the terms are then
+    produced one at a time, in the arithmetic of `one` as for
+    `counting._tail_counts`: the series of a is z / (z^(d2+1) - z^d1 - z + 1)
+    and the series of K is that divided by 1 - z, its running sums.
+    """
+    _check_span(d1, d2)
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    if which not in ("a", "K"):
+        raise ValueError(f"which must be 'a' or 'K', got {which!r}")
+    terms = _tail_counts(count, [(d1, d2)], one)
+    return terms if which == "a" else accumulate(terms)
 
 
 def tail_count_series(d1: int, d2: int, count: int) -> list[int]:
@@ -67,10 +89,7 @@ def tail_count_series(d1: int, d2: int, count: int) -> list[int]:
     the tail count at position i from the three-term recurrence, and
     coefficient 0 is always 0 because the numerator is z.
     """
-    _check_span(d1, d2)
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
-    return [0, *_tail_counts(count, [(d1, d2)])]
+    return [0, *series_terms("a", d1, d2, count)]
 
 
 def complexity_series(d1: int, d2: int, count: int) -> list[int]:
@@ -78,7 +97,7 @@ def complexity_series(d1: int, d2: int, count: int) -> list[int]:
 
     Equivalent to dividing the tail series by 1 - z.
     """
-    return list(accumulate(tail_count_series(d1, d2, count)))
+    return [0, *series_terms("K", d1, d2, count)]
 
 
 def gap_pair_complexity(n: int, d: int) -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gapwords
-from gapwords import counting, latin
+from gapwords import counting, intervals, latin
 from gapwords.cli import CLIError, format_gaps, main, parse_gap_spec
 from gapwords.words import GapSet
 
@@ -20,6 +20,30 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift the int-to-str digit limit, so expected values print at any size."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def limit_address_space(megabytes):
+    """A preexec_fn that caps the child's address space."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+    return limit
 
 
 def cli_subprocess(*argv, **kwargs):
@@ -51,6 +75,15 @@ class TestGapSpecParsing:
         with pytest.raises(CLIError):
             parse_gap_spec("2-n-1")
 
+    def test_range_up_to_n_token_past_its_start_is_empty(self):
+        assert parse_gap_spec("1-n-1", n=1).gaps == ()
+        assert parse_gap_spec("6-n-1", n=5).gaps == ()
+        assert parse_gap_spec("1,6-n-1", n=5).gaps == (1,)
+        assert parse_gap_spec("4-n-1", n=5).gaps == (4,)
+        for spec in ("5-3", "n-1-3"):  # a numeric end below the start stays an error
+            with pytest.raises(CLIError, match="empty gap range"):
+                parse_gap_spec(spec, n=10)
+
     def test_ranges_stop_at_word_length(self):
         assert parse_gap_spec("2-100000", n=10).gaps == tuple(range(2, 10))
         assert parse_gap_spec("1,50-60", n=10).gaps == (1, 50)  # a range past n keeps its start
@@ -59,24 +92,16 @@ class TestGapSpecParsing:
 
     def test_huge_range_in_bounded_memory(self):
         # 300M gaps would need gigabytes as a list; the child gets 1 GB of address space
-        resource = pytest.importorskip("resource")
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = cli_subprocess("count", "--n", "10", "--gaps", "1-300000000", preexec_fn=limit_memory)
+        proc = cli_subprocess(
+            "count", "--n", "10", "--gaps", "1-300000000", preexec_fn=limit_address_space(1024)
+        )
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, out, err) == (0, b"1023\n", b"")
 
     def test_out_of_memory_is_a_diagnostic(self):
         # a long word still expands its gap range in full, past the child's 1 GB
-        resource = pytest.importorskip("resource")
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         proc = cli_subprocess(
-            "count", "--n", "300000000", "--gaps", "1-n-1", preexec_fn=limit_memory
+            "count", "--n", "300000000", "--gaps", "1-n-1", preexec_fn=limit_address_space(1024)
         )
         out, err = proc.communicate(timeout=120)
         assert (proc.returncode, out) == (2, b"")
@@ -115,6 +140,8 @@ class TestCount:
             (["count", "--n", "7", "--gaps", "4-100", "--method", "super-d"], "13"),
             (["count", "--n", "6", "--gaps", "1-100", "--method", "prefix"], "63"),
             (["count", "--n", "10", "--gaps", "50", "--method", "single-gap"], "10"),
+            (["count", "--n", "1", "--gaps", "1-n-1"], "1"),
+            (["count", "--n", "5", "--gaps", "6-n-1"], str(counting.min_gap_complexity(5, 6))),
         ],
     )
     def test_plain_values(self, capsys, argv, expected):
@@ -186,6 +213,7 @@ class TestCount:
             ["count", "--n", "0", "--gaps", "1"],
             ["count", "--n", "5", "--gaps", "0-3"],
             ["count", "--n", "6", "--gaps", "n-10"],
+            ["count", "--n", "10", "--gaps", "5-3"],
         ],
     )
     def test_diagnostics_exit_nonzero(self, capsys, argv):
@@ -279,6 +307,51 @@ class TestSeries:
         )
         assert code != 0 and err != ""
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize(
+        "span", [("--d1", "4", "--d2", "2", "--count", "3"), ("--d1", "2", "--d2", "4", "--count", "0")]
+    )
+    def test_bad_arguments_print_nothing(self, capsys, span, fmt):
+        code, out, err = run_cli(capsys, "series", *span, "--which", "K", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("gapwords: ")
+
+    @pytest.mark.parametrize(
+        "d1, d2, count",
+        [(2, 3, 20000), (1, 2, 21000)],  # the second passes 4,300 digits
+    )
+    def test_long_series_match_library(self, capsys, no_digit_limit, d1, d2, count):
+        values = [str(v) for v in intervals.complexity_series(d1, d2, count)[1:]]
+        argv = ["series", "--which", "K", "--d1", str(d1), "--d2", str(d2), "--count", str(count)]
+        outs = {}
+        for fmt in ("plain", "csv", "json"):
+            code, outs[fmt], err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+        assert outs["plain"].splitlines() == [f"{i},{v}" for i, v in enumerate(values, 1)]
+        assert outs["csv"].splitlines() == ["n,value", *outs["plain"].splitlines()]
+        record = {
+            "d1": d1,
+            "d2": d2,
+            "which": "K",
+            "coefficients": [{"n": i, "value": v} for i, v in enumerate(values, 1)],
+        }
+        assert outs["json"] == json.dumps(record) + "\n"
+
+    def test_json_series_in_bounded_memory(self):
+        # a 20,000-term json series is about 25 MB of text; it streams, so a
+        # 64 MB address space is enough (the whole record built at once needs
+        # more than 96 MB)
+        proc = cli_subprocess(
+            "series", "--which", "K", "--d1", "2", "--d2", "3", "--count", "20000",
+            "--format", "json", preexec_fn=limit_address_space(64),
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        coefficients = json.loads(out)["coefficients"]
+        assert len(coefficients) == 20000
+        last = intervals.complexity_series(2, 3, 20000)[-1]
+        assert coefficients[-1] == {"n": 20000, "value": str(last)}
+
 
 class TestFormats:
     @pytest.mark.parametrize(
@@ -351,6 +424,19 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--n-max", "8")
         assert code == 1
         assert "single-gap mismatch" in out
+
+    def test_direct_recurrence_fault_is_caught(self, capsys, monkeypatch):
+        direct = intervals.tail_counts
+
+        def off_at_seven(n, d1, d2):
+            values = direct(n, d1, d2)
+            values[-1] += n == 7
+            return values
+
+        monkeypatch.setattr(intervals, "tail_counts", off_at_seven)
+        code, out, _ = run_cli(capsys, "check", "--n-max", "8")
+        assert code == 1
+        assert "direct recurrence mismatch" in out
 
     def test_repeated_subword_is_caught(self, capsys, monkeypatch):
         listing = latin.nontrivial_subwords

@@ -1,5 +1,8 @@
 """Tail-count recurrences, series expansion, and the pair correspondence."""
 
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+from itertools import islice
+
 import pytest
 
 from gapwords import counting
@@ -8,6 +11,7 @@ from gapwords.intervals import (
     complexity_series,
     gap_pair_complexity,
     gap_range_complexity,
+    series_terms,
     tail_count_series,
     tail_counts,
     tail_counts_simplified,
@@ -60,10 +64,23 @@ class TestRangeComplexity:
                     assert gap_range_complexity(n, d1, d2) == counting.complexity(
                         n, range(d1, d2 + 1)
                     ), (n, d1, d2)
+                    # both run the tail-count engine; the direct recurrence does not
+                    assert gap_range_complexity(n, d1, d2) == sum(tail_counts(n, d1, d2)), (
+                        n, d1, d2,
+                    )
 
     def test_top_gap_may_exceed_length(self):
         assert gap_range_complexity(6, 2, 5) == 20
         assert gap_range_complexity(6, 2, 50) == counting.complexity(6, range(2, 51))
+        assert gap_range_complexity(6, 2, 50) == sum(tail_counts(6, 2, 50))
+
+    def test_returns_int(self):
+        assert type(gap_range_complexity(3000, 2, 4)) is int
+
+    def test_bad_arguments_rejected(self):
+        for args in [(0, 2, 4), (5, 3, 2), (5, 0, 2)]:
+            with pytest.raises(ValueError):
+                gap_range_complexity(*args)
 
     def test_positive_tail_counts(self):
         values = tail_counts(30, 3, 5)
@@ -96,10 +113,36 @@ class TestSeries:
             assert tail_count_series(d1, d2, n)[1:] == tail_counts(n, d1, d2)
             ks = complexity_series(d1, d2, n)
             assert ks[n] == gap_range_complexity(n, d1, d2)
+            assert ks[n] == sum(tail_counts(n, d1, d2))
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             tail_count_series(2, 4, 0)
+
+    def test_lists_hold_ints(self):
+        for expand in (tail_count_series, complexity_series):
+            assert all(type(v) is int for v in expand(2, 4, 200))
+
+
+class TestSeriesTerms:
+    def test_lazy_terms_match_lists(self):
+        assert list(series_terms("a", 2, 4, 13)) == TABLE_A
+        assert list(series_terms("K", 2, 4, 13)) == TABLE_K
+        terms = series_terms("K", 1, 1, 10**9)  # produced on demand, never listed
+        assert list(islice(terms, 5)) == [1, 3, 6, 10, 15]
+
+    def test_arguments_checked_before_the_first_term(self):
+        for args in [("a", 4, 2, 3), ("K", 0, 2, 3), ("a", 2, 4, 0), ("x", 2, 4, 3)]:
+            with pytest.raises(ValueError):
+                series_terms(*args)
+
+    def test_exact_decimals_match_ints(self):
+        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+        with localcontext(exact):
+            for which in ("a", "K"):
+                terms = list(series_terms(which, 1, 2, 3000, Decimal(1)))
+                assert all(type(v) is Decimal for v in terms)
+                assert list(map(str, terms)) == list(map(str, series_terms(which, 1, 2, 3000)))
 
 
 class TestGapPair:

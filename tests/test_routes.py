@@ -87,6 +87,7 @@ def test_series_match_direct_recurrence(n, d1, width):
     d2 = d1 + width
     assert intervals.tail_count_series(d1, d2, n)[1:] == intervals.tail_counts(n, d1, d2)
     assert intervals.complexity_series(d1, d2, n)[n] == intervals.gap_range_complexity(n, d1, d2)
+    assert intervals.gap_range_complexity(n, d1, d2) == sum(intervals.tail_counts(n, d1, d2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -113,3 +114,5 @@ def test_single_gap_closed_form(n, d):
 def test_gap_range_recurrence(n, d1, width):
     d2 = d1 + width
     assert counting.complexity(n, range(d1, d2 + 1)) == intervals.gap_range_complexity(n, d1, d2)
+    # both sides run the tail-count engine; the direct recurrence is the independent check
+    assert intervals.gap_range_complexity(n, d1, d2) == sum(intervals.tail_counts(n, d1, d2))
