@@ -4,7 +4,8 @@ Exact counting and enumeration of subwords whose consecutive letters sit at
 distances taken from a prescribed gap set, for rainbow words (all letters
 distinct) and beyond: one tail-count recurrence engine behind the counts and
 the generating-function series, one Warshall-type pass that fills both the
-path-count matrix and the matrix of subword sets, closed-form binomial sums,
+path-count matrix and the matrix of subword sets, per-start runs that list
+the subwords of rainbow words, closed-form binomial sums,
 the paper's direct recurrence, and a naive brute-force oracle everything is
 cross-checked against.
 """
@@ -32,7 +33,7 @@ from gapwords.intervals import (
     tail_counts,
     tail_counts_simplified,
 )
-from gapwords.latin import initial_latin_matrix, nontrivial_subwords, warshall_latin
+from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_runs, warshall_latin
 from gapwords.words import GapSet, IndexSelection, Word, parse_word, rainbow_word
 
 __version__ = "0.1.0"
@@ -55,6 +56,7 @@ __all__ = [
     "initial_latin_matrix",
     "warshall_latin",
     "nontrivial_subwords",
+    "subword_runs",
     "tail_counts",
     "tail_counts_simplified",
     "gap_range_complexity",

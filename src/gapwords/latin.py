@@ -1,14 +1,21 @@
-"""Set-valued Warshall pass that lists every nontrivial gap-constrained subword.
+"""Every nontrivial gap-constrained subword: per-start runs and the set-valued Warshall pass.
 
-Instead of path counts, cell (i, j) holds the actual subwords that start at
-position i and end at position j (always length >= 2). The pass is
-`counting.warshall`, the one that counts paths; joining through an
-intermediate position k concatenates a left witness with a right witness
-whose first letter is erased, so the shared letter at k is not doubled.
+On a rainbow word every subword has one position path, so the subwords that
+start at position i follow from those that start at i + g, one pass from the
+right: `subword_runs` lists them already sorted, with no sets and no global
+sort. Other words go through the set-valued Warshall pass, which `check`
+also runs on rainbow words as the paper artefact and an independent check.
+
+In that pass, cell (i, j) holds the actual subwords that start at position
+i and end at position j (always length >= 2). It is `counting.warshall`, the
+pass that counts paths; joining through an intermediate position k
+concatenates a left witness with a right witness whose first letter is
+erased, so the shared letter at k is not doubled.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Union
 
 from gapwords.counting import gap_adjacency, warshall
@@ -41,6 +48,39 @@ def _concat(cell: set[str], left: set[str], right: set[str]) -> set[str]:
     return cell
 
 
+def subword_runs(
+    word: Union[Word, str],
+    gaps: Union[GapSet, Iterable[int]],
+    dedup: bool = False,
+) -> list[list[str]]:
+    """Sorted lists whose concatenation is `nontrivial_subwords(word, gaps, dedup)`.
+
+    On a rainbow word there is one run per start position, in letter order
+    of the start: run(i) is letter_i followed by letter_i + run(i + g) for
+    each usable gap g, taken in letter order of position i + g, with the
+    leading single letter dropped at the end. Other words give one run,
+    listed from the set-valued Warshall cells.
+    """
+    w = as_word(word)
+    if not w.is_rainbow:
+        final = warshall_latin(initial_latin_matrix(w, gaps))
+        found = [s for row in final for cell in row for s in cell]
+        return [sorted(set(found)) if dedup else sorted(found)]
+    text = w.text
+    n = len(text)
+    steps = [g for g in GapSet.of(gaps) if g < n]
+    runs: list[list[str]] = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        c = text[i]
+        out = runs[i]
+        out.append(c)
+        for j in sorted((i + g for g in steps if i + g < n), key=text.__getitem__):
+            out += map(c.__add__, runs[j])
+    for run in runs:
+        del run[0]
+    return [runs[i] for i in sorted(range(n), key=text.__getitem__)]
+
+
 def nontrivial_subwords(
     word: Union[Word, str],
     gaps: Union[GapSet, Iterable[int]],
@@ -48,13 +88,9 @@ def nontrivial_subwords(
 ) -> list[str]:
     """Every subword of length >= 2, sorted lexicographically.
 
-    Cells never hold internal duplicates, but on a non-rainbow word the same
-    string can appear in several start/end cells; without dedup it is listed
-    once per cell, with dedup identical strings are merged. Rainbow words are
-    unaffected by the flag.
+    On a non-rainbow word the same string can appear in several start/end
+    cells of the Warshall pass; without dedup it is listed once per cell,
+    with dedup identical strings are merged. Rainbow words are unaffected by
+    the flag.
     """
-    final = warshall_latin(initial_latin_matrix(word, gaps))
-    found = [s for row in final for cell in row for s in cell]
-    if dedup:
-        return sorted(set(found))
-    return sorted(found)
+    return list(chain.from_iterable(subword_runs(word, gaps, dedup)))

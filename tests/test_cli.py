@@ -363,6 +363,8 @@ class TestFormats:
             ("enumerate", "--word", "a,b", "--gaps", "1"),
             ("series", "--which", "a", "--d1", "2", "--d2", "4", "--count", "13"),
             ("series", "--which", "K", "--d1", "2", "--d2", "4", "--count", "13"),
+            ("enumerate", "--word", "dbgacfe", "--gaps", "1,3", "--include-single"),
+            ("enumerate", "--word", "ab,ba,", "--gaps", "1-2"),
         ],
         ids=lambda argv: "-".join(argv),
     )
@@ -449,6 +451,19 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--n-max", "6")
         assert code == 1
         assert "enumeration mismatch" in out
+
+    def test_set_pass_fault_is_caught(self, capsys, monkeypatch):
+        # the listing of a rainbow word never runs the set-valued pass, so
+        # only check's own comparison with the Warshall cells can see this
+        concat = latin._concat
+
+        def drop_one(cell, left, right):
+            return concat(cell, left, right) - {"abcd"}
+
+        monkeypatch.setattr(latin, "_concat", drop_one)
+        code, out, _ = run_cli(capsys, "check", "--n-max", "6")
+        assert code == 1
+        assert "set-valued Warshall mismatch" in out
 
 
 class TestDot:

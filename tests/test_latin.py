@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from gapwords import counting, oracle
-from gapwords.latin import initial_latin_matrix, nontrivial_subwords, warshall_latin
+from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_runs, warshall_latin
 from gapwords.words import rainbow_word
 
 
@@ -140,3 +140,30 @@ class TestAgainstOracleAndCounts:
                     got = set(nontrivial_subwords(w, m)) | set(w.text)
                     assert got == oracle.enumerate_subwords(w, m), (n, m)
                     assert len(nontrivial_subwords(w, m)) == counting.complexity(n, m) - n
+
+
+# Rainbow words whose letter order differs from their position order, and
+# the identity order: runs must follow letters, not positions.
+OUT_OF_ORDER = ("dbgacfe", "ZaB1c", rainbow_word(30).text[22:29])
+
+
+class TestSubwordRuns:
+    def test_runs_follow_letter_order(self):
+        assert subword_runs("cab", [1, 2]) == [["ab"], [], ["ca", "cab", "cb"]]
+
+    def test_non_rainbow_word_is_one_run(self):
+        assert subword_runs("aabbbaaa", range(3, 8), dedup=True) == [["aa", "ab", "aba", "ba"]]
+
+    def test_rainbow_runs_match_warshall_cells_and_oracle(self):
+        # every gap set for every prefix of length <= 7
+        for text in (*OUT_OF_ORDER, rainbow_word(7).text):
+            for n in range(1, len(text) + 1):
+                w = text[:n]
+                for size in range(n):
+                    for m in combinations(range(1, n), size):
+                        runs = subword_runs(w, m)
+                        flat = [s for run in runs for s in run]
+                        final = warshall_latin(initial_latin_matrix(w, m))
+                        assert flat == sorted(s for row in final for cell in row for s in cell), (w, m)
+                        assert set(flat) | set(w) == oracle.enumerate_subwords(w, m), (w, m)
+                        assert all(run == sorted(run) for run in runs), (w, m)
