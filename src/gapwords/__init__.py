@@ -34,7 +34,7 @@ from gapwords.intervals import (
     tail_counts_simplified,
 )
 from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_runs, warshall_latin
-from gapwords.words import GapSet, IndexSelection, Word, parse_word, rainbow_word
+from gapwords.words import GapSet, IndexSelection, Word, rainbow_word
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "GapSet",
     "IndexSelection",
     "Word",
-    "parse_word",
     "rainbow_word",
     "binomial",
     "gap_adjacency",

@@ -105,11 +105,14 @@ def _json_chunks(record: dict) -> Iterator[str]:
     yield "}"
 
 
-def _write(fmt: str, record: Callable, header: list, rows: Iterable, lines: Iterable) -> int:
+def _write(
+    fmt: str, record: Callable, header: list, rows: Iterable | None, lines: Iterable
+) -> int:
     """Print one result as json of `record()`, csv `header` then `rows`, or plain `lines`.
 
     Every form is written as it is produced, so rows, lines and iterator
-    values of the record can be lazy.
+    values of the record can be lazy. With `rows` None, the plain lines are
+    the csv rows: they must need no quoting, and skip the writer's scan.
     """
     if fmt == "json":
         for chunk in _json_chunks(record()):
@@ -118,7 +121,10 @@ def _write(fmt: str, record: Callable, header: list, rows: Iterable, lines: Iter
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
-        writer.writerows(rows)
+        if rows is None:
+            sys.stdout.writelines(f"{line}\r\n" for line in lines)
+        else:
+            writer.writerows(rows)
     else:
         for line in lines:
             print(line)
@@ -229,7 +235,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                 "which": args.which,
                 "coefficients": ([{"n": i, "value": str(v)}] for i, v in rows),
             },
-            ["n", "value"], rows,
+            ["n", "value"], None,  # digit-only csv rows: the plain lines
             (f"{i},{v}" for i, v in rows),
         )
 

@@ -154,9 +154,7 @@ def gap_range_upper_bound(n: int, d1: int, d2: int) -> int:
     inside and outside the range and then survives the subtraction.
     """
     _check_length(n)
-    _check_gap(d1)
-    if d2 < d1:
-        raise ValueError(f"need d1 <= d2, got d1={d1}, d2={d2}")
+    _check_span(d1, d2)
     return n + min_gap_complexity(n, d1) - min_gap_complexity(n, d2 + 1)
 
 
@@ -168,6 +166,11 @@ def _check_length(n: int) -> None:
 def _check_gap(d: int) -> None:
     if d < 1:
         raise ValueError(f"gap must be >= 1, got {d}")
+
+
+def _check_span(d1: int, d2: int) -> None:
+    if d1 < 1 or d2 < d1:
+        raise ValueError(f"need 1 <= d1 <= d2, got d1={d1}, d2={d2}")
 
 
 def _path_count_kernel(rows):

@@ -14,7 +14,14 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-from gapwords.counting import _check_gap, _check_length, _tail_counts, binomial, min_gap_complexity
+from gapwords.counting import (
+    _check_gap,
+    _check_length,
+    _check_span,
+    _tail_counts,
+    binomial,
+    min_gap_complexity,
+)
 
 
 class CorrespondenceResult(NamedTuple):
@@ -128,8 +135,3 @@ def check_correspondence(n: int, d: int) -> CorrespondenceResult:
 
 def _pair_sum(n: int, d: int) -> int:
     return sum(binomial(n + 1 - (d - 1) * k, k + 2) for k in range((n - 1) // d + 1))
-
-
-def _check_span(d1: int, d2: int) -> None:
-    if d1 < 1 or d2 < d1:
-        raise ValueError(f"need 1 <= d1 <= d2, got d1={d1}, d2={d2}")

@@ -30,18 +30,9 @@ class Word:
         return len(self.text)
 
     @property
-    def letters(self) -> tuple[str, ...]:
-        return tuple(self.text)
-
-    @property
     def is_rainbow(self) -> bool:
         """True when all letters are pairwise distinct."""
         return len(set(self.text)) == len(self.text)
-
-
-def parse_word(text: str) -> Word:
-    """Build a Word from raw text, one letter per character; empty input is rejected."""
-    return Word(text)
 
 
 def as_word(value: Union[Word, str]) -> Word:
@@ -86,9 +77,6 @@ class GapSet:
     def __len__(self) -> int:
         return len(self.gaps)
 
-    def __contains__(self, item: object) -> bool:
-        return item in self.gaps
-
     def runs(self) -> list[tuple[int, int]]:
         """Maximal runs lo..hi of consecutive gaps, in ascending order."""
         out: list[tuple[int, int]] = []
@@ -121,15 +109,6 @@ class IndexSelection:
             if i <= prev:
                 raise ValueError("positions must be strictly increasing")
             prev = i
-
-    def gaps_used(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.indices, self.indices[1:]))
-
-    def fits(self, word: Union[Word, str], gaps: Union[GapSet, Iterable[int]]) -> bool:
-        """Whether this selection is valid for the given word and gap set."""
-        w = as_word(word)
-        gs = GapSet.of(gaps)
-        return self.indices[-1] <= len(w) and all(g in gs for g in self.gaps_used())
 
     def extract(self, word: Union[Word, str]) -> str:
         """The subword this selection picks out of the given word."""

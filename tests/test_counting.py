@@ -231,8 +231,12 @@ class TestUpperBound:
                     assert bound >= complexity(n, range(d1, d2 + 1)), (n, d1, d2)
 
     def test_rejects_reversed_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 1 <= d1 <= d2"):
             gap_range_upper_bound(5, 3, 2)
+
+    def test_rejects_gap_below_one(self):
+        with pytest.raises(ValueError, match="need 1 <= d1 <= d2, got d1=0, d2=2"):
+            gap_range_upper_bound(5, 0, 2)
 
 
 class TestKernels:

@@ -4,8 +4,9 @@ from itertools import combinations, islice
 
 import pytest
 
+import gapwords
 from gapwords import oracle
-from gapwords.words import GapSet, IndexSelection, Word, parse_word, rainbow_word
+from gapwords.words import GapSet, IndexSelection, Word, rainbow_word
 
 
 def all_gap_sets(n):
@@ -14,24 +15,31 @@ def all_gap_sets(n):
         yield from combinations(universe, size)
 
 
+def test_public_names_resolve():
+    namespace = {}
+    exec("from gapwords import *", namespace)
+    assert set(gapwords.__all__) <= namespace.keys()
+    assert "parse_word" not in namespace
+    assert not hasattr(gapwords, "parse_word")
+
+
 class TestWord:
     def test_parse_rainbow(self):
-        w = parse_word("abcd")
+        w = Word("abcd")
         assert len(w) == 4
         assert w.is_rainbow
-        assert w.letters == ("a", "b", "c", "d")
 
     def test_parse_non_rainbow(self):
-        w = parse_word("aabbbaaa")
+        w = Word("aabbbaaa")
         assert len(w) == 8
         assert not w.is_rainbow
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            parse_word("")
+            Word("")
 
     def test_case_sensitive_letters(self):
-        assert parse_word("aA").is_rainbow
+        assert Word("aA").is_rainbow
 
     def test_rainbow_word_helper(self):
         assert rainbow_word(4).text == "abcd"
@@ -76,13 +84,6 @@ class TestIndexSelection:
     def test_extract_is_one_based(self):
         sel = IndexSelection((1, 2, 4))
         assert sel.extract("abcd") == "abd"
-        assert sel.gaps_used() == (1, 2)
-
-    def test_fits(self):
-        sel = IndexSelection((1, 4))
-        assert sel.fits("abcd", [3])
-        assert not sel.fits("abcd", [1, 2])
-        assert not sel.fits("abc", [3])  # reaches past the end
 
     @pytest.mark.parametrize("indices", [(), (0,), (2, 2), (3, 1)])
     def test_invalid_positions(self, indices):
