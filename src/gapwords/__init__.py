@@ -4,8 +4,8 @@ Exact counting and enumeration of subwords whose consecutive letters sit at
 distances taken from a prescribed gap set, for rainbow words (all letters
 distinct) and beyond: one tail-count recurrence engine behind the counts and
 the generating-function series, one Warshall-type pass that fills both the
-path-count matrix and the matrix of subword sets, per-start runs that list
-the subwords of rainbow words, closed-form binomial sums,
+path-count matrix and the matrix of subword sets, a depth-first walk that
+lists the subwords of rainbow words, closed-form binomial sums,
 the paper's direct recurrence, and a naive brute-force oracle everything is
 cross-checked against.
 """

@@ -190,20 +190,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise CLIError(str(err)) from err
     gs = parse_gap_spec(args.gaps, len(word))
-    # Sorted runs that concatenate to the listing. They are written run by
-    # run, so only --include-single copies them into one list.
-    runs = latin.subword_runs(word, gs, dedup=args.dedup)
-    if args.include_single:
-        singles = sorted(set(word.text)) if args.dedup else sorted(word.text)
-        runs = [sorted(chain(singles, *runs))]
-    count = sum(map(len, runs))
+    # Sorted batches that concatenate to the listing, written as they come.
+    count, runs = latin.subword_runs(word, gs, dedup=args.dedup, singles=args.include_single)
     return _write(
         args.format,
         lambda: {
             "word": word.text,
             "gaps": list(gs),
             "count": str(count),
-            "subwords": iter(runs),
+            "subwords": runs,
         },
         ["subword"], ([s] for run in runs for s in run),
         chain(("\n".join(run) for run in runs if run), [f"count: {count}"]),

@@ -1,10 +1,12 @@
-"""Every nontrivial gap-constrained subword: per-start runs and the set-valued Warshall pass.
+"""Every nontrivial gap-constrained subword: a walk for rainbow words and the set-valued Warshall pass.
 
 On a rainbow word every subword has one position path, so the subwords that
-start at position i follow from those that start at i + g, one pass from the
-right: `subword_runs` lists them already sorted, with no sets and no global
-sort. Other words go through the set-valued Warshall pass, which `check`
-also runs on rainbow words as the paper artefact and an independent check.
+start at position i are i itself followed by those that start at i + g, for
+each usable gap g. `subword_runs` walks these trees depth first, children in
+letter order, and writes the listing already sorted, a batch at a time, with
+no sets and no global sort. Other words go through the set-valued Warshall
+pass, which `check` also runs on rainbow words as the paper artefact and an
+independent check.
 
 In that pass, cell (i, j) holds the actual subwords that start at position
 i and end at position j (always length >= 2). It is `counting.warshall`, the
@@ -16,12 +18,15 @@ erased, so the shared letter at k is not doubled.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from gapwords.counting import gap_adjacency, warshall
 from gapwords.words import GapSet, Word, as_word
 
 SetMatrix = list[list[set[str]]]
+
+# Subwords held at once by a rainbow listing: in stored runs, and again in one batch.
+_BUDGET = 4096
 
 
 def initial_latin_matrix(word: Union[Word, str], gaps: Union[GapSet, Iterable[int]]) -> SetMatrix:
@@ -52,33 +57,77 @@ def subword_runs(
     word: Union[Word, str],
     gaps: Union[GapSet, Iterable[int]],
     dedup: bool = False,
-) -> list[list[str]]:
-    """Sorted lists whose concatenation is `nontrivial_subwords(word, gaps, dedup)`.
+    singles: bool = False,
+) -> tuple[int, Iterator[list[str]]]:
+    """The number of subwords and sorted batches whose concatenation lists them.
 
-    On a rainbow word there is one run per start position, in letter order
-    of the start: run(i) is letter_i followed by letter_i + run(i + g) for
-    each usable gap g, taken in letter order of position i + g, with the
-    leading single letter dropped at the end. Other words give one run,
-    listed from the set-valued Warshall cells.
+    Without `singles` the listing is `nontrivial_subwords(word, gaps, dedup)`;
+    with it, the length-1 subwords are merged in, one per letter position (one
+    per letter with `dedup`). The number is known before the first batch.
+
+    On a rainbow word the batches come lazily, start by start in letter order
+    of the start, from a walk over the subwords that start there. The subword
+    ending at position i is followed by those that extend it by one gap, in
+    letter order of their new last position. Only a few subwords are held at a
+    time. Other words give one batch, listed from the set-valued Warshall cells.
     """
     w = as_word(word)
-    if not w.is_rainbow:
-        final = warshall_latin(initial_latin_matrix(w, gaps))
-        found = [s for row in final for cell in row for s in cell]
-        return [sorted(set(found)) if dedup else sorted(found)]
-    text = w.text
+    if w.is_rainbow:
+        return _rainbow_runs(w.text, [g for g in GapSet.of(gaps) if g < len(w)], singles)
+    final = warshall_latin(initial_latin_matrix(w, gaps))
+    found = [s for row in final for cell in row for s in cell]
+    if singles:
+        found += w.text
+    listing = sorted(set(found)) if dedup else sorted(found)
+    return len(listing), iter([listing])
+
+
+def _rainbow_runs(text: str, steps: list[int], singles: bool) -> tuple[int, Iterator[list[str]]]:
     n = len(text)
-    steps = [g for g in GapSet.of(gaps) if g < n]
-    runs: list[list[str]] = [[] for _ in range(n)]
+    # kids[i]: the positions one gap after i, in letter order
+    kids = [sorted((i + g for g in steps if i + g < n), key=text.__getitem__) for i in range(n)]
+    # sizes[i]: the number of subwords that start at position i, itself included
+    sizes = [1] * n
     for i in range(n - 1, -1, -1):
+        sizes[i] += sum(sizes[k] for k in kids[i])
+    # Positions from `stored` on keep their sorted runs, built from the right
+    # as long as all of them together hold at most `budget` subwords; the walk
+    # writes such a run in bulk under each prefix that reaches it.
+    budget = _BUDGET
+    stored, held = n, 0
+    while stored and held + sizes[stored - 1] <= budget:
+        stored -= 1
+        held += sizes[stored]
+    runs: list[list[str]] = [[] for _ in range(n)]
+    for i in range(n - 1, stored - 1, -1):
         c = text[i]
-        out = runs[i]
-        out.append(c)
-        for j in sorted((i + g for g in steps if i + g < n), key=text.__getitem__):
-            out += map(c.__add__, runs[j])
-    for run in runs:
-        del run[0]
-    return [runs[i] for i in sorted(range(n), key=text.__getitem__)]
+        runs[i].append(c)
+        for k in kids[i]:
+            runs[i] += map(c.__add__, runs[k])
+
+    def batches() -> Iterator[list[str]]:
+        for i in sorted(range(n), key=text.__getitem__):
+            out = [text[i]] if singles else []
+            # Depth first, with each prefix beside the kids it has yet to visit.
+            stack = [(text[i], iter(kids[i]))]
+            while stack:
+                prefix, rest = stack[-1]
+                for k in rest:
+                    if k >= stored:
+                        out += map(prefix.__add__, runs[k])
+                    else:
+                        longer = prefix + text[k]
+                        out.append(longer)
+                        stack.append((longer, iter(kids[k])))
+                        break
+                else:
+                    stack.pop()
+                if len(out) >= budget:
+                    yield out
+                    out = []
+            yield out
+
+    return sum(sizes) - (0 if singles else n), batches()
 
 
 def nontrivial_subwords(
@@ -93,4 +142,4 @@ def nontrivial_subwords(
     with dedup identical strings are merged. Rainbow words are unaffected by
     the flag.
     """
-    return list(chain.from_iterable(subword_runs(word, gaps, dedup)))
+    return list(chain.from_iterable(subword_runs(word, gaps, dedup)[1]))

@@ -46,6 +46,22 @@ def limit_address_space(megabytes):
     return limit
 
 
+def assert_same_text(got, expected):
+    """Byte-for-byte equality that reports the first differing offset.
+
+    A failure shows a short window on each side, where pytest's diff of two
+    long strings could run for minutes.
+    """
+    if got == expected:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+    lo = max(at - 40, 0)
+    pytest.fail(
+        f"texts of {len(got)} and {len(expected)} characters differ at offset {at}: "
+        f"{got[lo:at + 40]!r} != {expected[lo:at + 40]!r}"
+    )
+
+
 def cli_subprocess(*argv, **kwargs):
     """Run `python -m gapwords.cli` on this checkout's sources."""
     src = str(Path(gapwords.__file__).resolve().parents[1])
@@ -267,6 +283,20 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--word", "", "--gaps", "1")
         assert code != 0 and "nonempty" in err
 
+    def test_json_listing_in_bounded_memory(self):
+        # 20 letters with every gap: about 1M subwords and 16 MB of json,
+        # written as they are found, so a 64 MB address space is enough
+        word = "abcdefghijklmnopqrst"
+        proc = cli_subprocess(
+            "enumerate", "--word", word, "--gaps", "1-n-1", "--format", "json",
+            preexec_fn=limit_address_space(64),
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        record = json.loads(out)
+        assert record["count"] == "1048555"
+        assert record["subwords"] == latin.nontrivial_subwords(word, range(1, 20))
+
 
 class TestSeries:
     def test_single_row(self, capsys):
@@ -328,17 +358,15 @@ class TestSeries:
             code, outs[fmt], err = run_cli(capsys, *argv, "--format", fmt)
             assert (code, err) == (0, "")
         lines = [f"{i},{v}" for i, v in enumerate(values, 1)]
-        assert outs["plain"].splitlines() == lines
-        # Byte for byte, since no line holds \r\n; a mismatch names its line
-        # where a diff of the whole 25 MB string would take minutes.
-        assert outs["csv"].split("\r\n") == ["n,value", *lines, ""]
+        assert_same_text(outs["plain"], "".join(f"{line}\n" for line in lines))
+        assert_same_text(outs["csv"], "".join(f"{line}\r\n" for line in ["n,value", *lines]))
         record = {
             "d1": d1,
             "d2": d2,
             "which": "K",
             "coefficients": [{"n": i, "value": v} for i, v in enumerate(values, 1)],
         }
-        assert outs["json"] == json.dumps(record) + "\n"
+        assert_same_text(outs["json"], json.dumps(record) + "\n")
 
     def test_json_series_in_bounded_memory(self):
         # a 20,000-term json series is about 25 MB of text; it streams, so a

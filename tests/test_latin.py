@@ -1,10 +1,11 @@
 """Set-valued Warshall enumeration of nontrivial subwords."""
 
-from itertools import combinations
+import math
+from itertools import chain, combinations
 
 import pytest
 
-from gapwords import counting, oracle
+from gapwords import counting, latin, oracle
 from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_runs, warshall_latin
 from gapwords.words import rainbow_word
 
@@ -146,24 +147,54 @@ class TestAgainstOracleAndCounts:
 # the identity order: runs must follow letters, not positions.
 OUT_OF_ORDER = ("dbgacfe", "ZaB1c", rainbow_word(30).text[22:29])
 
+# Subwords a rainbow listing may hold at once: from one stored run up to all.
+BUDGETS = (1, 2, 3, latin._BUDGET, math.inf)
+
 
 class TestSubwordRuns:
     def test_runs_follow_letter_order(self):
-        assert subword_runs("cab", [1, 2]) == [["ab"], [], ["ca", "cab", "cb"]]
+        count, runs = subword_runs("cab", [1, 2])
+        assert (count, list(runs)) == (4, [["ab"], [], ["ca", "cab", "cb"]])
 
     def test_non_rainbow_word_is_one_run(self):
-        assert subword_runs("aabbbaaa", range(3, 8), dedup=True) == [["aa", "ab", "aba", "ba"]]
+        count, runs = subword_runs("aabbbaaa", range(3, 8), dedup=True)
+        assert (count, list(runs)) == (4, [["aa", "ab", "aba", "ba"]])
 
-    def test_rainbow_runs_match_warshall_cells_and_oracle(self):
-        # every gap set for every prefix of length <= 7
+    def test_rainbow_runs_match_warshall_cells_and_oracle(self, monkeypatch):
+        # every gap set for every prefix of length <= 7, with as few stored
+        # runs as each budget allows, up to all of them
         for text in (*OUT_OF_ORDER, rainbow_word(7).text):
             for n in range(1, len(text) + 1):
                 w = text[:n]
                 for size in range(n):
                     for m in combinations(range(1, n), size):
-                        runs = subword_runs(w, m)
-                        flat = [s for run in runs for s in run]
                         final = warshall_latin(initial_latin_matrix(w, m))
-                        assert flat == sorted(s for row in final for cell in row for s in cell), (w, m)
-                        assert set(flat) | set(w) == oracle.enumerate_subwords(w, m), (w, m)
-                        assert all(run == sorted(run) for run in runs), (w, m)
+                        cells = sorted(s for row in final for cell in row for s in cell)
+                        assert set(cells) | set(w) == oracle.enumerate_subwords(w, m), (w, m)
+                        for budget in BUDGETS:
+                            monkeypatch.setattr(latin, "_BUDGET", budget)
+                            count, runs = subword_runs(w, m)
+                            runs = list(runs)
+                            flat = [s for run in runs for s in run]
+                            assert flat == cells, (w, m, budget)
+                            assert all(run == sorted(run) for run in runs), (w, m, budget)
+                            assert count == len(flat), (w, m, budget)
+
+    def test_singles_sit_before_their_start(self, monkeypatch):
+        # with singles, a rainbow word lists every subword of the oracle in order
+        for w in OUT_OF_ORDER:
+            for size in range(len(w)):
+                for m in combinations(range(1, len(w)), size):
+                    expected = sorted(oracle.enumerate_subwords(w, m))
+                    for budget in BUDGETS:
+                        monkeypatch.setattr(latin, "_BUDGET", budget)
+                        count, runs = subword_runs(w, m, singles=True)
+                        flat = [s for run in runs for s in run]
+                        assert (count, flat) == (len(expected), expected), (w, m, budget)
+
+    def test_singles_on_non_rainbow_words(self):
+        for dedup in (False, True):
+            count, runs = subword_runs("abab", [1, 2], dedup=dedup, singles=True)
+            singles = sorted(set("abab")) if dedup else sorted("abab")
+            expected = sorted(chain(singles, nontrivial_subwords("abab", [1, 2], dedup=dedup)))
+            assert (count, list(runs)) == (len(expected), [expected])
