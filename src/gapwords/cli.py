@@ -3,21 +3,22 @@
 Results print through one writer, `_write`, which builds the JSON record only
 for json. Values past 64 bits are decimal strings in JSON and CSV, so they
 read back exactly.
+
+Most runs are one short command, so start-up is most of their time: a module
+that only one format or subcommand needs (json, csv, decimal, random, the
+oracle) is imported in the function that uses it, not here.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
-import random
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator
 
-from gapwords import counting, intervals, latin, oracle
+from gapwords import counting, intervals, latin
 from gapwords.words import GapSet, Word, rainbow_word
 
 ORACLE_CAP = 10  # brute-force equivalence checks stop here; beyond is exponential pain
@@ -64,11 +65,12 @@ def parse_gap_spec(text: str, n: int | None = None) -> GapSet:
             )
         lo = value(m.group(1))
         hi = value(m.group(2)) if m.group(2) else lo
+        # An item ending in the token n-1 is empty when n-1 is below its start or is 0.
+        if (m.group(2) or m.group(1)) == "n-1" and hi < max(lo, 1) and (lo or m.group(1) == "n-1"):
+            continue
         if lo < 1:
             raise CLIError(f"gap values must be >= 1, got {lo}")
         if hi < lo:
-            if m.group(2) == "n-1":
-                continue  # every gap from lo up to n-1: none in a word this short
             raise CLIError(f"empty gap range {item!r}")
         if n is not None:
             hi = min(hi, max(lo, n - 1))
@@ -89,6 +91,7 @@ def _json_chunks(record: dict) -> Iterator[str]:
     An iterator value is an array that arrives in batches: each batch is a
     list of items, encoded with one `json.dumps`, and an empty one adds nothing.
     """
+    import json
     yield "{"
     for k, (key, value) in enumerate(record.items()):
         yield (", " if k else "") + json.dumps(key) + ": "
@@ -119,6 +122,7 @@ def _write(
             sys.stdout.write(chunk)
         print()
     elif fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         if rows is None:
@@ -240,7 +244,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gap_sets_for(n: int, rng: random.Random) -> list[tuple[int, ...]]:
+def _gap_sets_for(n: int, rng) -> list[tuple[int, ...]]:
     universe = list(range(1, n))
     if n <= 8:
         sets: list[tuple[int, ...]] = []
@@ -251,7 +255,8 @@ def _gap_sets_for(n: int, rng: random.Random) -> list[tuple[int, ...]]:
     return [tuple(g for b, g in enumerate(universe) if mask >> b & 1) for mask in masks]
 
 
-def _check_oracle_line(n: int, rng: random.Random) -> tuple[str, bool]:
+def _check_oracle_line(n: int, rng) -> tuple[str, bool]:
+    from gapwords import oracle
     word = rainbow_word(n)
     gap_sets = _gap_sets_for(n, rng)
     for m in gap_sets:
@@ -285,6 +290,7 @@ def _check_oracle_line(n: int, rng: random.Random) -> tuple[str, bool]:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.n_max < 1 or args.d_max < 1:
         raise CLIError("--n-max and --d-max must be >= 1")
+    import random
     rng = random.Random(2011)
     failures = 0
 

@@ -15,8 +15,8 @@ builds the matrix in full for any DAG by `warshall`, the one pass that
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from math import comb
-from typing import Callable, Iterable, Iterator, Union
 
 from gapwords.words import GapSet
 
@@ -24,7 +24,7 @@ from gapwords.words import GapSet
 # report which kernel is active.
 HAS_COMPILED_KERNEL = False
 
-GapsLike = Union[GapSet, Iterable[int]]
+GapsLike = GapSet | Iterable[int]
 Matrix = list[list[int]]
 
 

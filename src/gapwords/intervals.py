@@ -11,8 +11,9 @@ integers or, for printing, exact decimals; the list forms return ints.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator, NamedTuple
 
 from gapwords.counting import (
     _check_gap,
@@ -24,12 +25,12 @@ from gapwords.counting import (
 )
 
 
-class CorrespondenceResult(NamedTuple):
-    """Both sides of the {1, d} versus min-gap-d correspondence."""
+CorrespondenceResult = namedtuple("CorrespondenceResult", "pair_count min_gap_count matches")
+CorrespondenceResult.__doc__ = """Both sides of the {1, d} versus min-gap-d correspondence.
 
-    pair_count: int  # subwords of a length-n word with every gap 1 or d
-    min_gap_count: int  # length >= 2 subwords of a length n+d word with gaps >= d
-    matches: bool
+pair_count counts the subwords of a length-n word with every gap 1 or d,
+min_gap_count the length >= 2 subwords of a length n+d word with gaps >= d.
+"""
 
 
 def tail_counts(n: int, d1: int, d2: int) -> list[int]:

@@ -17,8 +17,8 @@ erased, so the shared letter at k is not doubled.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import chain
-from typing import Iterable, Iterator, Union
 
 from gapwords.counting import gap_adjacency, warshall
 from gapwords.words import GapSet, Word, as_word
@@ -29,7 +29,7 @@ SetMatrix = list[list[set[str]]]
 _BUDGET = 4096
 
 
-def initial_latin_matrix(word: Union[Word, str], gaps: Union[GapSet, Iterable[int]]) -> SetMatrix:
+def initial_latin_matrix(word: Word | str, gaps: GapSet | Iterable[int]) -> SetMatrix:
     """Seed matrix: cell (i, j) is {letter_i + letter_j} where the gap graph has edge i -> j."""
     text = as_word(word).text
     return [
@@ -54,8 +54,8 @@ def _concat(cell: set[str], left: set[str], right: set[str]) -> set[str]:
 
 
 def subword_runs(
-    word: Union[Word, str],
-    gaps: Union[GapSet, Iterable[int]],
+    word: Word | str,
+    gaps: GapSet | Iterable[int],
     dedup: bool = False,
     singles: bool = False,
 ) -> tuple[int, Iterator[list[str]]]:
@@ -131,8 +131,8 @@ def _rainbow_runs(text: str, steps: list[int], singles: bool) -> tuple[int, Iter
 
 
 def nontrivial_subwords(
-    word: Union[Word, str],
-    gaps: Union[GapSet, Iterable[int]],
+    word: Word | str,
+    gaps: GapSet | Iterable[int],
     dedup: bool = False,
 ) -> list[str]:
     """Every subword of length >= 2, sorted lexicographically.

@@ -8,12 +8,12 @@ share no code with those implementations.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from collections.abc import Iterable, Iterator
 
 from gapwords.words import GapSet, IndexSelection, Word, as_word
 
-WordLike = Union[Word, str]
-GapsLike = Union[GapSet, Iterable[int]]
+WordLike = Word | str
+GapsLike = GapSet | Iterable[int]
 
 
 def iter_selections(word: WordLike, gaps: GapsLike) -> Iterator[IndexSelection]:

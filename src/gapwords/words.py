@@ -8,23 +8,52 @@ usual convention in combinatorics on words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 
-@dataclass(frozen=True)
-class Word:
+class _Value:
+    """An immutable value in one slot, with the equality, hash and repr of a frozen dataclass.
+
+    Equal values reduce to the same constructor call; copies and pickles make
+    that call, so they validate again.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return self.__class__, (getattr(self, self.__slots__[0]),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__reduce__() == other.__reduce__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        name = self.__slots__[0]
+        return f"{self.__class__.__qualname__}({name}={getattr(self, name)!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Word(_Value):
     """A nonempty word; letters are opaque, case-sensitive characters."""
 
-    text: str
+    __slots__ = ("text",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str):
-            raise TypeError(f"word must be a string, got {type(self.text).__name__}")
-        if not self.text:
+    def __init__(self, text: str) -> None:
+        if not isinstance(text, str):
+            raise TypeError(f"word must be a string, got {type(text).__name__}")
+        if not text:
             raise ValueError("word must be nonempty")
+        object.__setattr__(self, "text", text)
 
     def __len__(self) -> int:
         return len(self.text)
@@ -35,7 +64,7 @@ class Word:
         return len(set(self.text)) == len(self.text)
 
 
-def as_word(value: Union[Word, str]) -> Word:
+def as_word(value: Word | str) -> Word:
     return value if isinstance(value, Word) else Word(value)
 
 
@@ -46,8 +75,7 @@ def rainbow_word(n: int) -> Word:
     return Word(ALPHABET[:n])
 
 
-@dataclass(frozen=True)
-class GapSet:
+class GapSet(_Value):
     """The allowed distances between consecutive chosen positions.
 
     Canonical form: sorted, deduplicated, every value >= 1. The set may be
@@ -56,17 +84,17 @@ class GapSet:
     can serve words of any length.
     """
 
-    gaps: tuple[int, ...] = ()
+    __slots__ = ("gaps",)
 
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(set(self.gaps)))
+    def __init__(self, gaps: tuple[int, ...] = ()) -> None:
+        canon = tuple(sorted(set(gaps)))
         for g in canon:
             if not isinstance(g, int) or isinstance(g, bool) or g < 1:
                 raise ValueError(f"gaps must be integers >= 1, got {g!r}")
         object.__setattr__(self, "gaps", canon)
 
     @classmethod
-    def of(cls, value: Union["GapSet", Iterable[int]]) -> "GapSet":
+    def of(cls, value: GapSet | Iterable[int]) -> GapSet:
         if isinstance(value, GapSet):
             return value
         return cls(tuple(value))
@@ -93,24 +121,24 @@ class GapSet:
         return runs[0] if len(runs) == 1 else None
 
 
-@dataclass(frozen=True)
-class IndexSelection:
+class IndexSelection(_Value):
     """Strictly increasing 1-based positions selecting one scattered subword."""
 
-    indices: tuple[int, ...]
+    __slots__ = ("indices",)
 
-    def __post_init__(self) -> None:
-        if not self.indices:
+    def __init__(self, indices: tuple[int, ...]) -> None:
+        if not indices:
             raise ValueError("a selection must pick at least one position")
         prev = 0
-        for i in self.indices:
+        for i in indices:
             if not isinstance(i, int) or isinstance(i, bool) or i < 1:
                 raise ValueError(f"positions must be integers >= 1, got {i!r}")
             if i <= prev:
                 raise ValueError("positions must be strictly increasing")
             prev = i
+        object.__setattr__(self, "indices", indices)
 
-    def extract(self, word: Union[Word, str]) -> str:
+    def extract(self, word: Word | str) -> str:
         """The subword this selection picks out of the given word."""
         w = as_word(word)
         if self.indices[-1] > len(w):

@@ -62,15 +62,19 @@ def assert_same_text(got, expected):
     )
 
 
+def source_env():
+    """The environment of a child that imports this checkout's sources."""
+    src = str(Path(gapwords.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def cli_subprocess(*argv, **kwargs):
     """Run `python -m gapwords.cli` on this checkout's sources."""
-    src = str(Path(gapwords.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.Popen(
         [sys.executable, "-m", "gapwords.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=source_env(),
         **kwargs,
     )
 
@@ -99,6 +103,19 @@ class TestGapSpecParsing:
         for spec in ("5-3", "n-1-3"):  # a numeric end below the start stays an error
             with pytest.raises(CLIError, match="empty gap range"):
                 parse_gap_spec(spec, n=10)
+
+    def test_lone_n_token_in_one_letter_word_is_empty(self, capsys):
+        assert parse_gap_spec("n-1", n=1).gaps == ()
+        assert parse_gap_spec("1,n-1", n=1).gaps == (1,)
+        assert run_cli(capsys, "count", "--n", "1", "--gaps", "n-1") == (0, "1\n", "")
+        assert run_cli(capsys, "enumerate", "--word", "a", "--gaps", "n-1") == (0, "count: 0\n", "")
+        code, out, _ = run_cli(capsys, "dot", "--n", "1", "--gaps", "n-1")
+        assert (code, out) == (0, "digraph gapwords {\n  rankdir=LR;\n  a;\n}\n")
+
+    @pytest.mark.parametrize("spec", ["0-n-1", "n-1-5"])
+    def test_zero_start_at_one_letter_stays_an_error(self, spec):
+        with pytest.raises(CLIError, match="gap values must be >= 1, got 0"):
+            parse_gap_spec(spec, n=1)
 
     def test_ranges_stop_at_word_length(self):
         assert parse_gap_spec("2-100000", n=10).gaps == tuple(range(2, 10))
@@ -539,3 +556,44 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+def modules_after(*argv):
+    """stdout and the loaded modules of a child that runs `main(argv)` and exits.
+
+    The child runs under -S: a site hook may preload modules such as typing
+    or random, which would hide what the command itself loads.
+    """
+    code = (
+        "import sys, gapwords.cli; gapwords.cli.main(sys.argv[1:]); "
+        "print(*sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, env=source_env(), check=True
+    )
+    return proc.stdout.decode(), set(proc.stderr.decode().split())
+
+
+class TestImports:
+    # Modules that no plain count needs: each is loaded by the format or the
+    # subcommand that uses it.
+    LAZY = {"dataclasses", "inspect", "typing", "json", "csv", "random", "gapwords.oracle"}
+
+    def test_count_loads_only_what_it_runs(self):
+        out, loaded = modules_after("count", "--n", "240", "--gaps", "1,3,7")
+        assert out == "79018068797823987412213936053614886217498072\n"
+        assert "gapwords.counting" in loaded
+        assert not self.LAZY & loaded
+
+    @pytest.mark.parametrize(
+        "argv, module",
+        [
+            (["count", "--n", "6", "--gaps", "2-5", "--format", "json"], "json"),
+            (["count", "--n", "6", "--gaps", "2-5", "--format", "csv"], "csv"),
+            (["check", "--n-max", "2"], "gapwords.oracle"),
+        ],
+        ids=["json", "csv", "check"],
+    )
+    def test_format_or_subcommand_loads_its_module(self, argv, module):
+        out, loaded = modules_after(*argv)
+        assert out and module in loaded

@@ -1,11 +1,16 @@
 """Word types, gap sets, selections, and the brute-force oracle."""
 
+import copy
+import doctest
+import pickle
 from itertools import combinations, islice
+from pathlib import Path
 
 import pytest
 
 import gapwords
 from gapwords import oracle
+from gapwords.intervals import CorrespondenceResult
 from gapwords.words import GapSet, IndexSelection, Word, rainbow_word
 
 
@@ -21,6 +26,68 @@ def test_public_names_resolve():
     assert set(gapwords.__all__) <= namespace.keys()
     assert "parse_word" not in namespace
     assert not hasattr(gapwords, "parse_word")
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0
+
+
+# (value, an equal value, a different value of the same type, its repr,
+# the plain value it wraps, an attribute to assign)
+VALUES = [
+    (Word("abc"), Word("abc"), Word("abd"), "Word(text='abc')", "abc", "text"),
+    (GapSet((3, 1)), GapSet((1, 3)), GapSet((1,)), "GapSet(gaps=(1, 3))", (1, 3), "gaps"),
+    (
+        IndexSelection((1, 4)),
+        IndexSelection((1, 4)),
+        IndexSelection((1, 5)),
+        "IndexSelection(indices=(1, 4))",
+        (1, 4),
+        "indices",
+    ),
+    (
+        CorrespondenceResult(3, 3, True),
+        CorrespondenceResult(3, 3, True),
+        CorrespondenceResult(3, 4, False),
+        "CorrespondenceResult(pair_count=3, min_gap_count=3, matches=True)",
+        "(3, 3, True)",  # a named tuple equals its plain tuple, so compare with a str
+        "matches",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, equal, other, text, plain, field", VALUES, ids=[v[0].__class__.__name__ for v in VALUES]
+)
+class TestValueSemantics:
+    def test_equality_and_hash(self, value, equal, other, text, plain, field):
+        assert value == equal and not value != equal
+        assert hash(value) == hash(equal)
+        assert value != other
+        assert value != plain and plain != value
+        assert len({value, equal, other}) == 2
+
+    def test_repr(self, value, equal, other, text, plain, field):
+        assert repr(value) == text
+
+    def test_assignment_raises(self, value, equal, other, text, plain, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert value == equal
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_round_trip(self, value, equal, other, text, plain, field, clone):
+        got = clone(value)
+        assert got == value and type(got) is type(value)
+        assert hash(got) == hash(value) and repr(got) == text
 
 
 class TestWord:
