@@ -36,24 +36,22 @@ class CLIError(Exception):
     """Diagnostic shown to the user; turns into a nonzero exit code."""
 
 
-def parse_gap_spec(text: str, n: int | None = None) -> GapSet:
-    """Parse comma-separated gap items: single values or a-b ranges.
+def parse_gap_spec(text: str, n: int) -> GapSet:
+    """Parse comma-separated gap items, single values or a-b ranges, for words of length n.
 
-    '{}' (or an empty string) is the empty gap set; the token n-1 resolves
-    against the word length when one is known. With a known length, ranges
-    stop at n-1 (a range that starts beyond it keeps its start), since longer
-    gaps are never usable, and a range up to n-1 that starts past n-1 is empty.
+    n must be >= 1. '{}' (or an empty string) is the empty gap set, and the
+    token n-1 resolves against the length. Ranges stop at n-1 (a range that
+    starts beyond it keeps its start), since longer gaps are never usable, and
+    a range up to n-1 that starts past n-1 is empty.
     """
+    if n < 1:
+        raise CLIError("--n must be >= 1")
     s = text.strip()
     if s in ("", "{}"):
         return GapSet(())
 
     def value(token: str) -> int:
-        if token != "n-1":
-            return int(token)
-        if n is None:
-            raise CLIError("gap token n-1 needs a word length to resolve against")
-        return n - 1
+        return n - 1 if token == "n-1" else int(token)
 
     gaps: list[int] = []
     for item in s.split(","):
@@ -72,8 +70,7 @@ def parse_gap_spec(text: str, n: int | None = None) -> GapSet:
             raise CLIError(f"gap values must be >= 1, got {lo}")
         if hi < lo:
             raise CLIError(f"empty gap range {item!r}")
-        if n is not None:
-            hi = min(hi, max(lo, n - 1))
+        hi = min(hi, max(lo, n - 1))
         gaps.extend(range(lo, hi + 1))
     return GapSet(tuple(gaps))
 
@@ -171,8 +168,6 @@ def _dispatch_count(n: int, gs: GapSet, method: str) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise CLIError("--n must be >= 1")
     gs = parse_gap_spec(args.gaps, args.n)
     value = _dispatch_count(args.n, gs, args.method)
     return _write(
@@ -335,19 +330,21 @@ def _node_names(n: int) -> list[str]:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise CLIError("--n must be >= 1")
     gs = parse_gap_spec(args.gaps, args.n)
     names = _node_names(args.n)
-    lines = ["digraph gapwords {", "  rankdir=LR;"]
-    lines.extend(f"  {name};" for name in names)
-    for i in range(args.n):
+    print("digraph gapwords {\n  rankdir=LR;")
+    print("\n".join(f"  {name};" for name in names))
+    # One print per node's edges: a print per edge is several times slower,
+    # and one for the whole graph holds every line at once.
+    for i, name in enumerate(names):
+        edges = []
         for g in gs:
             if i + g >= args.n:
                 break
-            lines.append(f"  {names[i]} -> {names[i + g]};")
-    lines.append("}")
-    print("\n".join(lines))
+            edges.append(f"  {name} -> {names[i + g]};")
+        if edges:
+            print("\n".join(edges))
+    print("}")
     return 0
 
 
@@ -429,11 +426,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gapwords: {err}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"gapwords: out of memory in {args.command}; try a smaller input", file=sys.stderr)
-        return 2
+        pass  # reported below: in here the traceback still holds the memory the command filled
     finally:
         if saved_limit is not None:
             sys.set_int_max_str_digits(saved_limit)
+    print(f"gapwords: out of memory in {args.command}; try a smaller input", file=sys.stderr)
+    return 2
 
 
 def run() -> None:

@@ -49,14 +49,15 @@ def gap_adjacency(n: int, gaps: GapsLike) -> Matrix:
 def path_counts(matrix: Matrix) -> Matrix:
     """Counts of directed paths of length >= 1 between all vertex pairs.
 
-    Input must be a strictly upper triangular 0/1 adjacency (a DAG whose
-    topological order is the index order); anything else raises ValueError.
+    Input must be a strictly upper triangular adjacency of int 0s and 1s (a
+    DAG whose topological order is the index order); anything else raises
+    ValueError.
     Equivalent to summing all positive powers of the adjacency matrix, but
     computed in one pass of `warshall`.
     """
     for row in matrix:
         for v in row:
-            if v not in (0, 1):
+            if not isinstance(v, int) or v not in (0, 1):
                 raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
     return _path_count_kernel(matrix)
 
@@ -159,18 +160,23 @@ def gap_range_upper_bound(n: int, d1: int, d2: int) -> int:
 
 
 def _check_length(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"word length must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"word length must be an integer >= 1, got {n!r}")
 
 
 def _check_gap(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"gap must be >= 1, got {d}")
+    if not _is_int(d) or d < 1:
+        raise ValueError(f"gap must be an integer >= 1, got {d!r}")
 
 
 def _check_span(d1: int, d2: int) -> None:
-    if d1 < 1 or d2 < d1:
-        raise ValueError(f"need 1 <= d1 <= d2, got d1={d1}, d2={d2}")
+    if not (_is_int(d1) and _is_int(d2)) or d1 < 1 or d2 < d1:
+        raise ValueError(f"need 1 <= d1 <= d2, got d1={d1!r}, d2={d2!r}")
+
+
+def _is_int(v) -> bool:
+    """An int that is not a bool, as `GapSet` takes: a float would turn exact counts into floats."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _path_count_kernel(rows):

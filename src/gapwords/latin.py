@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
-from gapwords.counting import gap_adjacency, warshall
+from gapwords.counting import _tail_counts, gap_adjacency, warshall
 from gapwords.words import GapSet, Word, as_word
 
 SetMatrix = list[list[set[str]]]
@@ -73,7 +73,7 @@ def subword_runs(
     """
     w = as_word(word)
     if w.is_rainbow:
-        return _rainbow_runs(w.text, [g for g in GapSet.of(gaps) if g < len(w)], singles)
+        return _rainbow_runs(w.text, GapSet.of(gaps), singles)
     final = warshall_latin(initial_latin_matrix(w, gaps))
     found = [s for row in final for cell in row for s in cell]
     if singles:
@@ -82,14 +82,14 @@ def subword_runs(
     return len(listing), iter([listing])
 
 
-def _rainbow_runs(text: str, steps: list[int], singles: bool) -> tuple[int, Iterator[list[str]]]:
+def _rainbow_runs(text: str, gs: GapSet, singles: bool) -> tuple[int, Iterator[list[str]]]:
     n = len(text)
+    steps = [g for g in gs if g < n]
     # kids[i]: the positions one gap after i, in letter order
     kids = [sorted((i + g for g in steps if i + g < n), key=text.__getitem__) for i in range(n)]
-    # sizes[i]: the number of subwords that start at position i, itself included
-    sizes = [1] * n
-    for i in range(n - 1, -1, -1):
-        sizes[i] += sum(sizes[k] for k in kids[i])
+    # sizes[i]: the number of subwords that start at position i, itself included;
+    # read backwards, as many end at position n - i, the engine's tail count
+    sizes = list(_tail_counts(n, gs.runs()))[::-1]
     # Positions from `stored` on keep their sorted runs, built from the right
     # as long as all of them together hold at most `budget` subwords; the walk
     # writes such a run in bulk under each prefix that reaches it.

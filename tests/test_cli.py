@@ -81,19 +81,17 @@ def cli_subprocess(*argv, **kwargs):
 
 class TestGapSpecParsing:
     def test_forms(self):
-        assert parse_gap_spec("2-5").gaps == (2, 3, 4, 5)
-        assert parse_gap_spec("1,3").gaps == (1, 3)
-        assert parse_gap_spec("3,1-2,3").gaps == (1, 2, 3)
-        assert parse_gap_spec("{}").gaps == ()
-        assert parse_gap_spec("").gaps == ()
+        assert parse_gap_spec("2-5", n=10).gaps == (2, 3, 4, 5)
+        assert parse_gap_spec("1,3", n=10).gaps == (1, 3)
+        assert parse_gap_spec("3,1-2,3", n=10).gaps == (1, 2, 3)
+        assert parse_gap_spec("{}", n=10).gaps == ()
+        assert parse_gap_spec("", n=10).gaps == ()
 
     def test_n_token(self):
         assert parse_gap_spec("2-n-1", n=7).gaps == (2, 3, 4, 5, 6)
         assert parse_gap_spec("n-1", n=5).gaps == (4,)
         assert parse_gap_spec("1-n-1", n=4).gaps == (1, 2, 3)
         assert parse_gap_spec("1,n-1", n=9).gaps == (1, 8)
-        with pytest.raises(CLIError):
-            parse_gap_spec("2-n-1")
 
     def test_range_up_to_n_token_past_its_start_is_empty(self):
         assert parse_gap_spec("1-n-1", n=1).gaps == ()
@@ -121,7 +119,7 @@ class TestGapSpecParsing:
         assert parse_gap_spec("2-100000", n=10).gaps == tuple(range(2, 10))
         assert parse_gap_spec("1,50-60", n=10).gaps == (1, 50)  # a range past n keeps its start
         assert parse_gap_spec("50", n=10).gaps == (50,)
-        assert parse_gap_spec("2-100").gaps == tuple(range(2, 101))  # no length, no clipping
+        assert parse_gap_spec("2-100", n=200).gaps == tuple(range(2, 101))  # below n-1: whole
 
     def test_huge_range_in_bounded_memory(self):
         # 300M gaps would need gigabytes as a list; the child gets 1 GB of address space
@@ -140,6 +138,16 @@ class TestGapSpecParsing:
         assert (proc.returncode, out) == (2, b"")
         assert err.startswith(b"gapwords: out of memory") and b"Traceback" not in err
 
+    def test_out_of_memory_in_a_listing_is_a_diagnostic(self):
+        # the set-valued pass on 28 letters outgrows 64 MB; the diagnostic
+        # prints once the traceback has let the filled memory go
+        proc = cli_subprocess(
+            "enumerate", "--word", "ab" * 14, "--gaps", "1-n-1", preexec_fn=limit_address_space(64)
+        )
+        out, err = proc.communicate(timeout=120)
+        diagnostic = b"gapwords: out of memory in enumerate; try a smaller input\n"
+        assert (proc.returncode, out, err) == (2, b"", diagnostic)
+
     @pytest.mark.parametrize("spec", ["n-10", "n-1-0", "2-n-12", "n-2", "n"])
     def test_n_token_is_whole(self, spec):
         # the token n-1 is matched whole, never as a text prefix
@@ -149,12 +157,17 @@ class TestGapSpecParsing:
     @pytest.mark.parametrize("bad", ["0", "-2", "x", "3-1", "2--4", "1;2"])
     def test_rejects(self, bad):
         with pytest.raises(CLIError):
-            parse_gap_spec(bad)
+            parse_gap_spec(bad, n=10)
+
+    @pytest.mark.parametrize("command", ["count", "dot"])
+    def test_length_is_checked_before_gaps(self, capsys, command):
+        expected = (2, "", "gapwords: --n must be >= 1\n")
+        assert run_cli(capsys, command, "--n", "0", "--gaps", "x") == expected
 
     def test_format_gaps_roundtrip(self):
         for spec in ["2-5", "1,3", "1-2,5,7-9"]:
-            gs = parse_gap_spec(spec)
-            assert parse_gap_spec(format_gaps(gs)) == gs
+            gs = parse_gap_spec(spec, n=10)
+            assert parse_gap_spec(format_gaps(gs), n=10) == gs
         assert format_gaps(GapSet(())) == "{}"
 
 
@@ -542,6 +555,19 @@ class TestDot:
     def test_positional_labels_beyond_alphabet(self, capsys):
         _, out, _ = run_cli(capsys, "dot", "--n", "30", "--gaps", "29")
         assert "x1 -> x30;" in out
+
+    def test_large_graph_in_bounded_memory(self):
+        # 2,001,003 lines, about 38 MB, printed a node at a time in 64 MB of address space
+        n = 2000
+        proc = cli_subprocess(
+            "dot", "--n", str(n), "--gaps", "1-n-1", preexec_fn=limit_address_space(64)
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        lines = out.decode().splitlines()
+        assert len(lines) == 3 + n + n * (n - 1) // 2
+        assert lines[:4] == ["digraph gapwords {", "  rankdir=LR;", "  x1;", "  x2;"]
+        assert lines[-3:] == ["  x1998 -> x2000;", "  x1999 -> x2000;", "}"]
 
 
 class TestEntryPoint:

@@ -119,6 +119,8 @@ class TestPathCounts:
             [[0, 2], [0, 0]],  # not 0/1
             [[0, 0], [1, 0]],  # below diagonal
             [[1, 0], [0, 0]],  # diagonal
+            [[0, 1.0], [0, 0]],  # not int
+            [[0 if j <= i else 1.0 for j in range(60)] for i in range(60)],  # would sum to a float
         ],
     )
     def test_rejects_bad_adjacency(self, bad):
@@ -198,6 +200,22 @@ class TestClosedForms:
     def test_prefix_outside_range_rejected(self):
         with pytest.raises(ValueError):
             prefix_gap_complexity(3, 4)
+
+    @pytest.mark.parametrize(
+        "form, args",
+        [
+            (single_gap_complexity, (7.5, 2)),  # would be 18.0
+            (prefix_gap_complexity, (10.0, 2)),  # would be 1022.0
+            (single_gap_complexity, (7, 2.0)),
+            (min_gap_complexity, (True, 1)),
+            (min_gap_complexity, (7, True)),
+            (gap_range_upper_bound, (7, 2, 3.0)),
+            (gap_range_upper_bound, (7, True, 3)),
+        ],
+    )
+    def test_rejects_non_integer_arguments(self, form, args):
+        with pytest.raises(ValueError, match="integer >= 1|need 1 <= d1 <= d2"):
+            form(*args)
 
     def test_single_gap_values(self):
         # 16 and 12 frozen from the oracle; tail counts of {2} on a length-7
