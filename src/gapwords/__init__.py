@@ -34,13 +34,12 @@ from gapwords.intervals import (
     tail_counts_simplified,
 )
 from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_runs, warshall_latin
-from gapwords.words import GapSet, IndexSelection, Word, rainbow_word
+from gapwords.words import GapSet, Word, rainbow_word
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GapSet",
-    "IndexSelection",
     "Word",
     "rainbow_word",
     "binomial",

@@ -214,13 +214,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
     # context never rounds: a term that would need it raises instead.
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 
-    try:
-        terms = intervals.series_terms(args.which, args.d1, args.d2, args.count, Decimal(1))
-    except ValueError as err:
-        raise CLIError(str(err)) from err
-    rows = enumerate(terms, 1)  # consumed once, by whichever form is written
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
     with localcontext(exact):
+        try:
+            terms = intervals.series_terms(args.which, args.d1, args.d2, args.count, Decimal(1))
+        except ValueError as err:
+            raise CLIError(str(err)) from err
+        rows = enumerate(terms, 1)  # consumed once, by whichever form is written
         return _write(
             args.format,
             lambda: {

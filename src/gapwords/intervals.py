@@ -19,6 +19,7 @@ from gapwords.counting import (
     _check_gap,
     _check_length,
     _check_span,
+    _is_int,
     _tail_counts,
     binomial,
     min_gap_complexity,
@@ -79,13 +80,20 @@ def series_terms(which: str, d1: int, d2: int, count: int, one=1) -> Iterator:
     The arguments are checked before the first term, and the terms are then
     produced one at a time, in the arithmetic of `one` as for
     `counting._tail_counts`: the series of a is z / (z^(d2+1) - z^d1 - z + 1)
-    and the series of K is that divided by 1 - z, its running sums.
+    and the series of K is that divided by 1 - z, its running sums. A
+    `Decimal` one needs an active context that traps `Inexact`, so that a
+    term too long for its precision raises instead of rounding; draw the
+    terms in that context too.
     """
     _check_span(d1, d2)
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
+    if not _is_int(count) or count < 1:
+        raise ValueError(f"need count >= 1, got {count!r}")
     if which not in ("a", "K"):
         raise ValueError(f"which must be 'a' or 'K', got {which!r}")
+    if not isinstance(one, int):
+        import decimal
+        if isinstance(one, decimal.Decimal) and not decimal.getcontext().traps[decimal.Inexact]:
+            raise ValueError("exact decimal terms need a context that traps Inexact")
     terms = _tail_counts(count, [(d1, d2)], one)
     return terms if which == "a" else accumulate(terms)
 
@@ -115,6 +123,7 @@ def gap_pair_complexity(n: int, d: int) -> int:
     something else.
     """
     _check_length(n)
+    _check_gap(d)
     if d < 2:
         raise ValueError(f"the pair formula needs d >= 2, got {d}")
     return _pair_sum(n, d)

@@ -1,7 +1,7 @@
 """Brute-force reference for gap-constrained subwords.
 
-Everything here walks index selections one at a time, which is exponential on
-purpose: these functions are the independent oracle that the matrix engine,
+Everything here walks position selections one at a time, which is exponential
+on purpose: these functions are the independent oracle that the matrix engine,
 the closed forms and the recurrences are tested against. They stay naive and
 share no code with those implementations.
 """
@@ -10,17 +10,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from gapwords.words import GapSet, IndexSelection, Word, as_word
+from gapwords.words import GapSet, Word, as_word
 
 WordLike = Word | str
 GapsLike = GapSet | Iterable[int]
 
 
-def iter_selections(word: WordLike, gaps: GapsLike) -> Iterator[IndexSelection]:
-    """Depth-first walk over start positions, then gap choices, in ascending order.
+def iter_selections(word: WordLike, gaps: GapsLike) -> Iterator[tuple[int, ...]]:
+    """Yield each selection as a tuple of strictly increasing 1-based positions.
 
-    Each selection comes before its extensions. The walk keeps an explicit
-    stack of index tuples, so selections of any length work.
+    Depth-first over start positions, then gap choices, in ascending order;
+    each selection comes before its extensions. The walk keeps an explicit
+    stack of position tuples, so selections of any length work.
     """
     w = as_word(word)
     n = len(w)
@@ -28,7 +29,7 @@ def iter_selections(word: WordLike, gaps: GapsLike) -> Iterator[IndexSelection]:
     stack = [(start,) for start in range(n, 0, -1)]
     while stack:
         chosen = stack.pop()
-        yield IndexSelection(chosen)
+        yield chosen
         last = chosen[-1]
         for g in reversed(steps):
             if last + g <= n:
@@ -37,12 +38,12 @@ def iter_selections(word: WordLike, gaps: GapsLike) -> Iterator[IndexSelection]:
 
 def enumerate_subwords(word: WordLike, gaps: GapsLike) -> set[str]:
     """All distinct subwords reachable with the allowed gaps (length >= 1)."""
-    w = as_word(word)
-    return {sel.extract(w) for sel in iter_selections(w, gaps)}
+    text = as_word(word).text
+    return {"".join(text[i - 1] for i in chosen) for chosen in iter_selections(text, gaps)}
 
 
 def count_selections(word: WordLike, gaps: GapsLike) -> int:
-    """Number of valid index selections (occurrences, not distinct strings).
+    """Number of valid position selections (occurrences, not distinct strings).
 
     On a rainbow word every selection extracts a different string, so this
     also equals the number of distinct subwords.

@@ -120,27 +120,3 @@ class GapSet(_Value):
         runs = self.runs()
         return runs[0] if len(runs) == 1 else None
 
-
-class IndexSelection(_Value):
-    """Strictly increasing 1-based positions selecting one scattered subword."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: tuple[int, ...]) -> None:
-        if not indices:
-            raise ValueError("a selection must pick at least one position")
-        prev = 0
-        for i in indices:
-            if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-                raise ValueError(f"positions must be integers >= 1, got {i!r}")
-            if i <= prev:
-                raise ValueError("positions must be strictly increasing")
-            prev = i
-        object.__setattr__(self, "indices", indices)
-
-    def extract(self, word: Word | str) -> str:
-        """The subword this selection picks out of the given word."""
-        w = as_word(word)
-        if self.indices[-1] > len(w):
-            raise ValueError("selection reaches past the end of the word")
-        return "".join(w.text[i - 1] for i in self.indices)

@@ -526,6 +526,34 @@ class TestCheck:
         assert code == 1
         assert "set-valued Warshall mismatch" in out
 
+    def test_warshall_matrix_fault_is_caught(self, capsys, monkeypatch):
+        paths = counting.path_counts
+
+        def off_at_seven(matrix):
+            counts = paths(matrix)
+            counts[0][-1] += len(matrix) == 7
+            return counts
+
+        monkeypatch.setattr(counting, "path_counts", off_at_seven)
+        code, out, _ = run_cli(capsys, "check", "--n-max", "8")
+        assert code == 1
+        assert "oracle(n=7): Warshall matrix mismatch" in out
+
+    def test_sampled_and_skipped_oracle_lines(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--n-max", "11", "--d-max", "2")
+        assert code == 0
+        lines = out.splitlines()
+        for n in (9, 10):
+            label = f"oracle(n={n}): Warshall=methods=enumeration=oracle"
+            assert f"{label} over 200 sampled gap sets (200): PASS" in lines
+        assert "oracle(n=11): SKIP (brute force capped at n=10)" in lines
+
+    @pytest.mark.parametrize("bound", ["--n-max", "--d-max"])
+    def test_bounds_below_one_rejected(self, capsys, bound):
+        code, out, err = run_cli(capsys, "check", bound, "0")
+        assert (code, out) == (2, "")
+        assert err == "gapwords: --n-max and --d-max must be >= 1\n"
+
 
 class TestDot:
     def test_worked_graph(self, capsys):
@@ -603,7 +631,9 @@ def modules_after(*argv):
 class TestImports:
     # Modules that no plain count needs: each is loaded by the format or the
     # subcommand that uses it.
-    LAZY = {"dataclasses", "inspect", "typing", "json", "csv", "random", "gapwords.oracle"}
+    LAZY = {
+        "dataclasses", "inspect", "typing", "json", "csv", "random", "decimal", "gapwords.oracle"
+    }
 
     def test_count_loads_only_what_it_runs(self):
         out, loaded = modules_after("count", "--n", "240", "--gaps", "1,3,7")

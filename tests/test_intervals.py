@@ -132,9 +132,20 @@ class TestSeriesTerms:
         assert list(islice(terms, 5)) == [1, 3, 6, 10, 15]
 
     def test_arguments_checked_before_the_first_term(self):
-        for args in [("a", 4, 2, 3), ("K", 0, 2, 3), ("a", 2, 4, 0), ("x", 2, 4, 3)]:
+        for args in [
+            ("a", 4, 2, 3), ("K", 0, 2, 3), ("a", 2, 4, 0), ("x", 2, 4, 3),
+            ("a", 2, 4, True), ("a", 2, 4, 7.5), ("K", 2, 4, "3"),
+        ]:
             with pytest.raises(ValueError):
                 series_terms(*args)
+        with pytest.raises(ValueError):
+            tail_count_series(2, 4, 2.5)
+
+    def test_decimals_need_a_context_that_never_rounds(self):
+        # under the default 28-digit context the last term would silently round
+        with localcontext(Context()):
+            with pytest.raises(ValueError):
+                series_terms("a", 1, 2, 200, Decimal(1))
 
     def test_exact_decimals_match_ints(self):
         exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
@@ -162,8 +173,9 @@ class TestGapPair:
                 assert gap_pair_complexity(n, d) == counting.complexity(n, {1, d}), (n, d)
 
     def test_d_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            gap_pair_complexity(5, 1)
+        for d in [1, 0, 2.5, True]:
+            with pytest.raises(ValueError):
+                gap_pair_complexity(7, d)
 
 
 class TestCorrespondence:
