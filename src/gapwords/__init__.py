@@ -5,7 +5,7 @@ distances taken from a prescribed gap set, for rainbow words (all letters
 distinct) and beyond: one tail-count recurrence engine behind the counts and
 the generating-function series, one Warshall-type pass that fills both the
 path-count matrix and the matrix of subword sets, a depth-first walk that
-lists the subwords of rainbow words, closed-form binomial sums,
+lists the subwords of any word, closed-form binomial sums,
 the paper's direct recurrence, and a naive brute-force oracle everything is
 cross-checked against.
 """

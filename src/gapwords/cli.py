@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, combinations
+from itertools import chain, product
 
 from gapwords import counting, intervals, latin
 from gapwords.words import GapSet, Word, rainbow_word
@@ -239,21 +239,18 @@ def _cmd_series(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gap_sets_for(n: int, rng) -> list[tuple[int, ...]]:
-    universe = list(range(1, n))
-    if n <= 8:
-        sets: list[tuple[int, ...]] = []
-        for size in range(len(universe) + 1):
-            sets.extend(combinations(universe, size))
-        return sets
-    masks = rng.sample(range(2 ** len(universe)), 200)
-    return [tuple(g for b, g in enumerate(universe) if mask >> b & 1) for mask in masks]
+def _gap_sets_for(n: int, rng, k: int) -> list[tuple[int, ...]]:
+    """Every gap set below n when there are at most k, else k sampled ones."""
+    masks = range(2 ** (n - 1))
+    if len(masks) > k:
+        masks = rng.sample(masks, k)
+    return [tuple(g for g in range(1, n) if mask >> (g - 1) & 1) for mask in masks]
 
 
 def _check_oracle_line(n: int, rng) -> tuple[str, bool]:
     from gapwords import oracle
     word = rainbow_word(n)
-    gap_sets = _gap_sets_for(n, rng)
+    gap_sets = _gap_sets_for(n, rng, 200)
     for m in gap_sets:
         count = oracle.count_selections(word, m)
         warshall = n + sum(map(sum, counting.path_counts(counting.gap_adjacency(n, m))))
@@ -270,16 +267,48 @@ def _check_oracle_line(n: int, rng) -> tuple[str, bool]:
         span = gs.bounds_if_contiguous()
         if span is not None and sum(intervals.tail_counts(n, *span)) != count:
             return f"oracle(n={n}): direct recurrence mismatch for gaps {m}: FAIL", False
-        listed = latin.nontrivial_subwords(word, m)
-        if len(listed) != count - n or {*listed, *word.text} != oracle.enumerate_subwords(word, m):
-            return f"oracle(n={n}): enumeration mismatch for gaps {m}: FAIL", False
-        # The listing of a rainbow word skips the set-valued pass; check it here.
-        final = latin.warshall_latin(latin.initial_latin_matrix(word, m))
-        if sorted(s for row in final for cell in row for s in cell) != listed:
-            return f"oracle(n={n}): set-valued Warshall mismatch for gaps {m}: FAIL", False
+        route = _listing_mismatch(word.text, m)
+        if route:
+            return f"oracle(n={n}): {route} mismatch for gaps {m}: FAIL", False
     kinds = "all" if n <= 8 else "200 sampled"
     label = "Warshall=methods=enumeration=oracle"
     return f"oracle(n={n}): {label} over {kinds} gap sets ({len(gap_sets)}): PASS", True
+
+
+def _check_repeated_line(n_max: int, rng) -> tuple[str, bool]:
+    """The listing of every word over {a,b} up to min(n_max, 8) letters, two sampled gap sets each."""
+    label = f"oracle(words over ab, n<={min(n_max, 8)})"
+    pairs = 0
+    for n in range(1, min(n_max, 8) + 1):
+        for word in map("".join, product("ab", repeat=n)):
+            for m in _gap_sets_for(n, rng, 2):
+                route = _listing_mismatch(word, m)
+                if route:
+                    return f"{label}: {route} mismatch for {word} gaps {m}: FAIL", False
+                pairs += 1
+    routes = "enumeration=set-valued Warshall=oracle (with and without dedup)"
+    return f"{label}: {routes} over {pairs} sampled word/gap-set pairs: PASS", True
+
+
+def _listing_mismatch(word: str, m: tuple[int, ...]) -> str | None:
+    """The first listing route that differs from the oracle on a word and gap set, if any.
+
+    Without dedup a string is listed once per (start, end) pair of positions
+    that spell it: the oracle's distinct (first, last position, string) triples.
+    """
+    from gapwords import oracle
+    selections = (p for p in oracle.iter_selections(word, m) if len(p) > 1)
+    expected = sorted(s for _, _, s in {(p[0], p[-1], "".join(word[i - 1] for i in p)) for p in selections})
+    # No listing runs the set-valued pass; compare it here.
+    final = latin.warshall_latin(latin.initial_latin_matrix(word, m))
+    if sorted(s for row in final for cell in row for s in cell) != expected:
+        return "set-valued Warshall"
+    if latin.nontrivial_subwords(word, m) != expected:
+        return "enumeration"
+    count, runs = latin.subword_runs(word, m, dedup=True)
+    if (count, [*chain.from_iterable(runs)]) != (len(set(expected)), sorted(set(expected))):
+        return "dedup enumeration"
+    return None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -296,6 +325,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         line, ok = _check_oracle_line(n, rng)
         print(line)
         failures += 0 if ok else 1
+    line, ok = _check_repeated_line(args.n_max, rng)
+    print(line)
+    failures += 0 if ok else 1
 
     for n in range(2, args.n_max + 1):
         for d1 in range(1, min(args.d_max, n - 1) + 1):

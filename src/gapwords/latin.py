@@ -1,12 +1,12 @@
-"""Every nontrivial gap-constrained subword: a walk for rainbow words and the set-valued Warshall pass.
+"""Every nontrivial gap-constrained subword: one listing walk and the set-valued Warshall pass.
 
-On a rainbow word every subword has one position path, so the subwords that
-start at position i are i itself followed by those that start at i + g, for
-each usable gap g. `subword_runs` walks these trees depth first, children in
-letter order, and writes the listing already sorted, a batch at a time, with
-no sets and no global sort. Other words go through the set-valued Warshall
-pass, which `check` also runs on rainbow words as the paper artefact and an
-independent check.
+`subword_runs` lists the subwords of any word from a depth-first walk over
+them, children in letter order, so the listing comes out sorted, a batch at a
+time, with no global sort. A subword's state is the set of positions where
+its spellings end, kept per start position (their union with dedup), so a
+string is listed once per (start, end) pair, or once. On a rainbow word
+every state is one position. The set-valued Warshall pass stays as the
+paper artefact and the reference that `check` and the tests compare against.
 
 In that pass, cell (i, j) holds the actual subwords that start at position
 i and end at position j (always length >= 2). It is `counting.warshall`, the
@@ -18,14 +18,16 @@ erased, so the shared letter at k is not doubled.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import reduce
 from itertools import chain
+from operator import or_
 
-from gapwords.counting import _tail_counts, gap_adjacency, warshall
+from gapwords.counting import gap_adjacency, warshall
 from gapwords.words import GapSet, Word, as_word
 
 SetMatrix = list[list[set[str]]]
 
-# Subwords held at once by a rainbow listing: in stored runs, and again in one batch.
+# Subwords held at once by a listing: in stored runs, and again in one batch.
 _BUDGET = 4096
 
 
@@ -65,60 +67,73 @@ def subword_runs(
     with it, the length-1 subwords are merged in, one per letter position (one
     per letter with `dedup`). The number is known before the first batch.
 
-    On a rainbow word the batches come lazily, start by start in letter order
-    of the start, from a walk over the subwords that start there. The subword
-    ending at position i is followed by those that extend it by one gap, in
-    letter order of their new last position. Only a few subwords are held at a
-    time. Other words give one batch, listed from the set-valued Warshall cells.
+    The batches come lazily, first letter by first letter in letter order, from
+    a walk over the subwords, each followed by those that extend it by one gap,
+    in letter order of their new last letter. A subword's state holds, for each
+    start position that spells it, the bitmask of its end positions (with
+    `dedup`, their union); it is listed once per (start, end) pair, or once.
+    Each state's children and total are worked out once, before the first
+    batch: one state per position on a rainbow word, many more on a long
+    irregular one. Only a few subwords are held at a time.
     """
-    w = as_word(word)
-    if w.is_rainbow:
-        return _rainbow_runs(w.text, GapSet.of(gaps), singles)
-    final = warshall_latin(initial_latin_matrix(w, gaps))
-    found = [s for row in final for cell in row for s in cell]
-    if singles:
-        found += w.text
-    listing = sorted(set(found)) if dedup else sorted(found)
-    return len(listing), iter([listing])
-
-
-def _rainbow_runs(text: str, gs: GapSet, singles: bool) -> tuple[int, Iterator[list[str]]]:
+    text = as_word(word).text
     n = len(text)
-    steps = [g for g in gs if g < n]
-    # kids[i]: the positions one gap after i, in letter order
-    kids = [sorted((i + g for g in steps if i + g < n), key=text.__getitem__) for i in range(n)]
-    # sizes[i]: the number of subwords that start at position i, itself included;
-    # read backwards, as many end at position n - i, the engine's tail count
-    sizes = list(_tail_counts(n, gs.runs()))[::-1]
-    # Positions from `stored` on keep their sorted runs, built from the right
-    # as long as all of them together hold at most `budget` subwords; the walk
-    # writes such a run in bulk under each prefix that reaches it.
+    steps = [g for g in GapSet.of(gaps) if g < n]
+    starts: dict[str, list[int]] = {}  # the positions of each letter, as bits
+    for i, c in enumerate(text):
+        starts.setdefault(c, []).append(1 << i)
+    at = {c: sum(bits) for c, bits in starts.items()}
+    letters = sorted(at)
+    roots = [(c, (at[c],) if dedup else tuple(starts[c])) for c in letters]
+
+    def weight(state: tuple[int, ...]) -> int:
+        return 1 if dedup else sum(map(int.bit_count, state))
+
+    # kids[state]: (letter, child state, its weight) in letter order;
+    # total[state]: the lines it writes, with those of all its extensions
+    kids: dict[tuple[int, ...], list] = {}
+    total: dict[tuple[int, ...], int] = {}
+    todo = [state for _, state in roots]
+    while todo:
+        state = todo[-1]
+        if state in kids:
+            total[todo.pop()] = weight(state) + sum(total[child] for _, child, _ in kids[state])
+            continue
+        reach = [reduce(or_, [m << g for g in steps], 0) for m in state]
+        kids[state] = found = []
+        for c in letters:
+            child = tuple(filter(None, [r & at[c] for r in reach]))
+            if child:
+                found.append((c, child, weight(child)))
+        todo += [child for _, child, _ in found if child not in kids]
+    # States keep their sorted runs, smallest total first, as long as all of
+    # them together hold at most `budget` subwords; a run holds what follows
+    # the state's last letter, and the walk writes it in bulk under each
+    # prefix that reaches the state.
     budget = _BUDGET
-    stored, held = n, 0
-    while stored and held + sizes[stored - 1] <= budget:
-        stored -= 1
-        held += sizes[stored]
-    runs: list[list[str]] = [[] for _ in range(n)]
-    for i in range(n - 1, stored - 1, -1):
-        c = text[i]
-        runs[i].append(c)
-        for k in kids[i]:
-            runs[i] += map(c.__add__, runs[k])
+    runs: dict[tuple[int, ...], list[str]] = {}
+    held = 0
+    for state in sorted(total, key=total.__getitem__):
+        held += total[state]
+        if held > budget:
+            break
+        runs[state] = [""] * weight(state) + [c + s for c, child, _ in kids[state] for s in runs[child]]
 
     def batches() -> Iterator[list[str]]:
-        for i in sorted(range(n), key=text.__getitem__):
-            out = [text[i]] if singles else []
+        for c, root in roots:
+            out = [c] * weight(root) if singles else []
             # Depth first, with each prefix beside the kids it has yet to visit.
-            stack = [(text[i], iter(kids[i]))]
+            stack = [(c, iter(kids[root]))]
             while stack:
                 prefix, rest = stack[-1]
-                for k in rest:
-                    if k >= stored:
-                        out += map(prefix.__add__, runs[k])
+                for letter, child, w in rest:
+                    longer = prefix + letter
+                    run = runs.get(child)
+                    if run is not None:
+                        out += map(longer.__add__, run)
                     else:
-                        longer = prefix + text[k]
-                        out.append(longer)
-                        stack.append((longer, iter(kids[k])))
+                        out += [longer] * w
+                        stack.append((longer, iter(kids[child])))
                         break
                 else:
                     stack.pop()
@@ -127,7 +142,7 @@ def _rainbow_runs(text: str, gs: GapSet, singles: bool) -> tuple[int, Iterator[l
                     out = []
             yield out
 
-    return sum(sizes) - (0 if singles else n), batches()
+    return sum(total[root] - (0 if singles else weight(root)) for _, root in roots), batches()
 
 
 def nontrivial_subwords(
@@ -137,9 +152,9 @@ def nontrivial_subwords(
 ) -> list[str]:
     """Every subword of length >= 2, sorted lexicographically.
 
-    On a non-rainbow word the same string can appear in several start/end
-    cells of the Warshall pass; without dedup it is listed once per cell,
-    with dedup identical strings are merged. Rainbow words are unaffected by
-    the flag.
+    On a non-rainbow word the same string can be spelled from several
+    (start, end) position pairs, the cells of the Warshall pass; without
+    dedup it is listed once per pair, with dedup once. Rainbow words are
+    unaffected by the flag.
     """
     return list(chain.from_iterable(subword_runs(word, gaps, dedup)[1]))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -139,14 +140,17 @@ class TestGapSpecParsing:
         assert err.startswith(b"gapwords: out of memory") and b"Traceback" not in err
 
     def test_out_of_memory_in_a_listing_is_a_diagnostic(self):
-        # the set-valued pass on 28 letters outgrows 64 MB; the diagnostic
-        # prints once the traceback has let the filled memory go
-        proc = cli_subprocess(
-            "enumerate", "--word", "ab" * 14, "--gaps", "1-n-1", preexec_fn=limit_address_space(64)
-        )
-        out, err = proc.communicate(timeout=120)
+        # the distinct states of a long irregular word outgrow 64 MB before
+        # the first line; the diagnostic prints once the traceback has let
+        # the filled memory go
+        word = "".join(random.Random(2011).choices("ab", k=300))
         diagnostic = b"gapwords: out of memory in enumerate; try a smaller input\n"
-        assert (proc.returncode, out, err) == (2, b"", diagnostic)
+        for dedup in ([], ["--dedup"]):
+            proc = cli_subprocess(
+                "enumerate", "--word", word, "--gaps", "1-3", *dedup, preexec_fn=limit_address_space(64)
+            )
+            out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, out, err) == (2, b"", diagnostic), dedup
 
     @pytest.mark.parametrize("spec", ["n-10", "n-1-0", "2-n-12", "n-2", "n"])
     def test_n_token_is_whole(self, spec):
@@ -327,6 +331,18 @@ class TestEnumerate:
         assert record["count"] == "1048555"
         assert record["subwords"] == latin.nontrivial_subwords(word, range(1, 20))
 
+    def test_periodic_listing_in_bounded_memory(self):
+        # ab x 15 has few states, so its 3,524,574 distinct subwords stream in 64 MB
+        proc = cli_subprocess(
+            "enumerate", "--word", "ab" * 15, "--gaps", "1-n-1", "--dedup",
+            preexec_fn=limit_address_space(64),
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert out.count(b"\n") == 3524574 + 1
+        assert out.startswith(b"aa\naaa\naaaa\n")
+        assert out.endswith(b"\nbbbbbbbbbbbbbbab\nbbbbbbbbbbbbbbb\ncount: 3524574\n")
+
 
 class TestSeries:
     def test_single_row(self, capsys):
@@ -476,6 +492,8 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--n-max", "4", "--d-max", "2")
         assert code == 0
         assert "oracle(n=4): Warshall=methods=enumeration=oracle over all gap sets (8): PASS" in out
+        routes = "enumeration=set-valued Warshall=oracle (with and without dedup)"
+        assert f"oracle(words over ab, n<=4): {routes} over 58 sampled word/gap-set pairs: PASS" in out
 
     def test_closed_form_fault_is_caught(self, capsys, monkeypatch):
         single_gap = counting.single_gap_complexity
@@ -513,9 +531,23 @@ class TestCheck:
         assert code == 1
         assert "enumeration mismatch" in out
 
+    def test_listing_fault_on_repeated_letters_is_caught(self, capsys, monkeypatch):
+        # a listing that merges the copies of a string from several cells
+        # leaves rainbow words as they are; only the words over {a,b} show it
+        runs = latin.subword_runs
+
+        def merge_copies(word, gaps, dedup=False, singles=False):
+            return runs(word, gaps, True, singles)
+
+        monkeypatch.setattr(latin, "subword_runs", merge_copies)
+        code, out, _ = run_cli(capsys, "check", "--n-max", "6")
+        assert code == 1
+        assert "oracle(n=6): Warshall=methods=enumeration=oracle over all gap sets (32): PASS" in out
+        assert "oracle(words over ab, n<=6): enumeration mismatch" in out
+
     def test_set_pass_fault_is_caught(self, capsys, monkeypatch):
-        # the listing of a rainbow word never runs the set-valued pass, so
-        # only check's own comparison with the Warshall cells can see this
+        # no listing runs the set-valued pass, so only check's own
+        # comparison with the Warshall cells can see this
         concat = latin._concat
 
         def drop_one(cell, left, right):

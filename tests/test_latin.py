@@ -1,7 +1,7 @@
-"""Set-valued Warshall enumeration of nontrivial subwords."""
+"""Nontrivial subwords: the listing walk against the set-valued Warshall pass and the oracle."""
 
 import math
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -100,9 +100,11 @@ class TestNontrivialSubwords:
         ]
 
     def test_non_rainbow_keeps_cell_copies_without_dedup(self):
+        # once per (start, end) cell: aa in six cells, ab and aba in three, ba in six
         raw = nontrivial_subwords("aabbbaaa", range(3, 8))
-        assert sorted(set(raw)) == ["aa", "ab", "aba", "ba"]
-        assert len(raw) > 4
+        assert raw == ["aa"] * 6 + ["ab"] * 3 + ["aba"] * 3 + ["ba"] * 6
+        final = warshall_latin(initial_latin_matrix("aabbbaaa", range(3, 8)))
+        assert raw == sorted(s for row in final for cell in row for s in cell)
 
     def test_empty_gap_set(self):
         assert nontrivial_subwords("abcde", ()) == []
@@ -147,7 +149,13 @@ class TestAgainstOracleAndCounts:
 # the identity order: runs must follow letters, not positions.
 OUT_OF_ORDER = ("dbgacfe", "ZaB1c", rainbow_word(30).text[22:29])
 
-# Subwords a rainbow listing may hold at once: from one stored run up to all.
+# Words with repeated letters: every word over {a,b} up to 6 letters, and some over {a,b,c}.
+REPEATED = (
+    *("".join(letters) for n in range(1, 7) for letters in product("ab", repeat=n)),
+    "abcabca", "cbacbca", "aacbcbba",
+)
+
+# Subwords a listing may hold at once: from one stored run up to all.
 BUDGETS = (1, 2, 3, latin._BUDGET, math.inf)
 
 
@@ -156,29 +164,39 @@ class TestSubwordRuns:
         count, runs = subword_runs("cab", [1, 2])
         assert (count, list(runs)) == (4, [["ab"], [], ["ca", "cab", "cb"]])
 
-    def test_non_rainbow_word_is_one_run(self):
+    def test_non_rainbow_runs_are_sorted_and_concatenate_to_the_listing(self):
         count, runs = subword_runs("aabbbaaa", range(3, 8), dedup=True)
-        assert (count, list(runs)) == (4, [["aa", "ab", "aba", "ba"]])
+        runs = list(runs)
+        assert (count, list(chain(*runs))) == (4, ["aa", "ab", "aba", "ba"])
+        assert all(run == sorted(run) for run in runs)
 
     def test_rainbow_runs_match_warshall_cells_and_oracle(self, monkeypatch):
-        # every gap set for every prefix of length <= 7, with as few stored
-        # runs as each budget allows, up to all of them
-        for text in (*OUT_OF_ORDER, rainbow_word(7).text):
-            for n in range(1, len(text) + 1):
-                w = text[:n]
-                for size in range(n):
-                    for m in combinations(range(1, n), size):
-                        final = warshall_latin(initial_latin_matrix(w, m))
-                        cells = sorted(s for row in final for cell in row for s in cell)
-                        assert set(cells) | set(w) == oracle.enumerate_subwords(w, m), (w, m)
-                        for budget in BUDGETS:
-                            monkeypatch.setattr(latin, "_BUDGET", budget)
-                            count, runs = subword_runs(w, m)
+        # every gap set for every prefix of length <= 7 of a rainbow word and
+        # every word with repeated letters, with as few stored runs as each
+        # budget allows, up to all of them: a non-rainbow word lists each
+        # cell's strings once per cell, or each string once with dedup
+        rainbow = [text[:n] for text in (*OUT_OF_ORDER, rainbow_word(7).text) for n in range(1, len(text) + 1)]
+        for w in (*rainbow, *REPEATED):
+            n = len(w)
+            for size in range(n):
+                for m in combinations(range(1, n), size):
+                    final = warshall_latin(initial_latin_matrix(w, m))
+                    cells = sorted(s for row in final for cell in row for s in cell)
+                    assert set(cells) | set(w) == oracle.enumerate_subwords(w, m), (w, m)
+                    expected = {
+                        (False, False): cells,
+                        (True, False): sorted(set(cells)),
+                        (False, True): sorted(cells + list(w)),
+                        (True, True): sorted(set(cells) | set(w)),
+                    }
+                    for budget in BUDGETS:
+                        monkeypatch.setattr(latin, "_BUDGET", budget)
+                        for (dedup, singles), listing in expected.items():
+                            count, runs = subword_runs(w, m, dedup, singles)
                             runs = list(runs)
                             flat = [s for run in runs for s in run]
-                            assert flat == cells, (w, m, budget)
-                            assert all(run == sorted(run) for run in runs), (w, m, budget)
-                            assert count == len(flat), (w, m, budget)
+                            assert (count, flat) == (len(listing), listing), (w, m, budget, dedup, singles)
+                            assert all(run == sorted(run) for run in runs), (w, m, budget, dedup, singles)
 
     def test_singles_sit_before_their_start(self, monkeypatch):
         # with singles, a rainbow word lists every subword of the oracle in order
@@ -195,6 +213,8 @@ class TestSubwordRuns:
     def test_singles_on_non_rainbow_words(self):
         for dedup in (False, True):
             count, runs = subword_runs("abab", [1, 2], dedup=dedup, singles=True)
+            runs = list(runs)
             singles = sorted(set("abab")) if dedup else sorted("abab")
             expected = sorted(chain(singles, nontrivial_subwords("abab", [1, 2], dedup=dedup)))
-            assert (count, list(runs)) == (len(expected), [expected])
+            assert (count, list(chain(*runs))) == (len(expected), expected)
+            assert all(run == sorted(run) for run in runs)
