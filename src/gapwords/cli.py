@@ -40,9 +40,10 @@ def parse_gap_spec(text: str, n: int) -> GapSet:
     """Parse comma-separated gap items, single values or a-b ranges, for words of length n.
 
     n must be >= 1. '{}' (or an empty string) is the empty gap set, and the
-    token n-1 resolves against the length. Ranges stop at n-1 (a range that
-    starts beyond it keeps its start), since longer gaps are never usable, and
-    a range up to n-1 that starts past n-1 is empty.
+    token n-1 resolves against the length. A range is kept as one run, never
+    expanded. It stops at n-1 (a range that starts beyond it keeps its start),
+    since longer gaps are never usable, and a range up to n-1 that starts past
+    n-1 is empty.
     """
     if n < 1:
         raise CLIError("--n must be >= 1")
@@ -53,7 +54,7 @@ def parse_gap_spec(text: str, n: int) -> GapSet:
     def value(token: str) -> int:
         return n - 1 if token == "n-1" else int(token)
 
-    gaps: list[int] = []
+    gaps: list[range] = []
     for item in s.split(","):
         item = item.strip()
         m = _GAP_ITEM.fullmatch(item)
@@ -71,15 +72,15 @@ def parse_gap_spec(text: str, n: int) -> GapSet:
         if hi < lo:
             raise CLIError(f"empty gap range {item!r}")
         hi = min(hi, max(lo, n - 1))
-        gaps.extend(range(lo, hi + 1))
-    return GapSet(tuple(gaps))
+        gaps.append(range(lo, hi + 1))
+    return GapSet(gaps)
 
 
 def format_gaps(gs: GapSet) -> str:
     """Compact textual form of a gap set: runs collapse to a-b."""
     if not len(gs):
         return "{}"
-    return ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in gs.runs())
+    return ",".join(str(r.start) if len(r) == 1 else f"{r.start}-{r[-1]}" for r in gs.runs)
 
 
 def _json_chunks(record: dict) -> Iterator[str]:
@@ -152,7 +153,7 @@ def _dispatch_count(n: int, gs: GapSet, method: str) -> int:
     if method == "single-gap":
         if len(gs) != 1:
             raise CLIError("method single-gap needs exactly one gap value")
-        return counting.single_gap_complexity(n, gs.gaps[0])
+        return counting.single_gap_complexity(n, *gs)
     if method == "prefix":
         if span is None or span[0] != 1 or span[1] > n - 1:
             raise CLIError("method prefix needs gaps 1-g with g <= n-1")
@@ -161,9 +162,9 @@ def _dispatch_count(n: int, gs: GapSet, method: str) -> int:
         except ValueError as err:
             raise CLIError(str(err)) from err
     if method == "formula-1d":
-        if len(gs) != 2 or gs.gaps[0] != 1:
+        if len(gs) != 2 or gs.runs[0].start != 1:
             raise CLIError("method formula-1d needs gaps 1,d with d >= 2")
-        return intervals.gap_pair_complexity(n, gs.gaps[1])
+        return intervals.gap_pair_complexity(n, gs.runs[-1][-1])
     raise CLIError(f"unknown method {method!r}")
 
 

@@ -42,7 +42,7 @@ def gap_adjacency(n: int, gaps: GapsLike) -> Matrix:
     n - 1 contribute nothing.
     """
     _check_length(n)
-    allowed = set(GapSet.of(gaps).gaps)
+    allowed = set(GapSet.of(gaps))
     return [[1 if (j - i) in allowed else 0 for j in range(n)] for i in range(n)]
 
 
@@ -81,11 +81,13 @@ def complexity(n: int, gaps: GapsLike) -> int:
     `path_counts(gap_adjacency(n, gaps))` is the matrix route to the same value.
     """
     _check_length(n)
-    return sum(_tail_counts(n, GapSet.of(gaps).runs()))
+    return sum(_tail_counts(n, GapSet.of(gaps).runs))
 
 
-def _tail_counts(n: int, runs: list[tuple[int, int]], one=1) -> Iterator:
+def _tail_counts(n: int, runs: Iterable[range], one=1) -> Iterator:
     """Subwords ending at positions 1..n for the gap set with these maximal runs.
+
+    The runs are ascending step-1 ranges, as in `GapSet.runs`; only their ends are read.
 
     a[i] = 1 + sum of a[i - g] over allowed g < i, with a[0] = 0: the single
     letter at i, or a subword ending at i - g extended by gap g. Subtracting
@@ -94,22 +96,22 @@ def _tail_counts(n: int, runs: list[tuple[int, int]], one=1) -> Iterator:
     out-of-range indices read as a[0]. That is O(n * runs) big-integer
     additions; the series of a is z / ((1 - z)(1 - sum of z^g)). Gaps beyond
     n - 1 are never usable, so the runs are clipped there and a ring holds the
-    last (largest gap + 1) values: a[i] sits in slot i % size, and each slot
-    is read before it is overwritten. Slots not yet written read as a[0] = 0.
+    last (largest usable gap + 1) values: a[i] sits in slot i % size, and each
+    slot is read before it is overwritten. Slots not yet written read as a[0] = 0.
 
     The type of `one` sets the arithmetic: plain ints by default, or an exact
     `decimal.Decimal(1)` for callers that print every term, since Decimal
     renders in linear time where int-to-str is quadratic.
     """
-    runs = [(lo, min(hi, n - 1)) for lo, hi in runs if lo < n]
-    size = runs[-1][1] + 1 if runs else 1
+    ends = [(r.start, min(r.stop, n)) for r in runs if r.start < n]
+    size = ends[-1][1] if ends else 1
     ring = [one - one] * size
     v = one
     for i in range(1, n + 1):
-        for lo, hi in runs:
+        for lo, stop in ends:
             if lo >= i:
                 break
-            v += ring[(i - lo) % size] - ring[(i - hi - 1) % size]
+            v += ring[(i - lo) % size] - ring[(i - stop) % size]
         ring[i % size] = v
         yield v
 

@@ -59,7 +59,7 @@ def tail_counts_simplified(n: int, d1: int, d2: int) -> list[int]:
     """
     _check_length(n)
     _check_span(d1, d2)
-    return list(_tail_counts(n, [(d1, d2)]))
+    return list(_tail_counts(n, [range(d1, d2 + 1)]))
 
 
 def gap_range_complexity(n: int, d1: int, d2: int) -> int:
@@ -71,7 +71,7 @@ def gap_range_complexity(n: int, d1: int, d2: int) -> int:
     """
     _check_length(n)
     _check_span(d1, d2)
-    return sum(_tail_counts(n, [(d1, d2)]))
+    return sum(_tail_counts(n, [range(d1, d2 + 1)]))
 
 
 def series_terms(which: str, d1: int, d2: int, count: int, one=1) -> Iterator:
@@ -94,7 +94,7 @@ def series_terms(which: str, d1: int, d2: int, count: int, one=1) -> Iterator:
         import decimal
         if isinstance(one, decimal.Decimal) and not decimal.getcontext().traps[decimal.Inexact]:
             raise ValueError("exact decimal terms need a context that traps Inexact")
-    terms = _tail_counts(count, [(d1, d2)], one)
+    terms = _tail_counts(count, [range(d1, d2 + 1)], one)
     return terms if which == "a" else accumulate(terms)
 
 

@@ -9,6 +9,7 @@ usual convention in combinatorics on words.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
@@ -58,11 +59,6 @@ class Word(_Value):
     def __len__(self) -> int:
         return len(self.text)
 
-    @property
-    def is_rainbow(self) -> bool:
-        """True when all letters are pairwise distinct."""
-        return len(set(self.text)) == len(self.text)
-
 
 def as_word(value: Word | str) -> Word:
     return value if isinstance(value, Word) else Word(value)
@@ -78,45 +74,44 @@ def rainbow_word(n: int) -> Word:
 class GapSet(_Value):
     """The allowed distances between consecutive chosen positions.
 
-    Canonical form: sorted, deduplicated, every value >= 1. The set may be
-    empty, in which case only single-letter subwords exist. Values at or
-    above the word length are legal and simply never usable, so one GapSet
-    can serve words of any length.
+    Canonical form: the maximal runs, ascending step-1 ranges of values >= 1.
+    The constructor takes ints and step-1 ranges and never expands a range.
+    The set may be empty, in which case only single-letter subwords exist.
+    Values at or above the word length are legal and simply never usable, so
+    one GapSet can serve words of any length.
     """
 
-    __slots__ = ("gaps",)
+    __slots__ = ("runs",)
 
-    def __init__(self, gaps: tuple[int, ...] = ()) -> None:
-        canon = tuple(sorted(set(gaps)))
-        for g in canon:
-            if not isinstance(g, int) or isinstance(g, bool) or g < 1:
-                raise ValueError(f"gaps must be integers >= 1, got {g!r}")
-        object.__setattr__(self, "gaps", canon)
+    def __init__(self, gaps: Iterable[int | range] = ()) -> None:
+        spans = []
+        for g in gaps:
+            if isinstance(g, range) and g.step == 1 and g.start >= 1:
+                spans.append(g)
+            elif isinstance(g, int) and not isinstance(g, bool) and g >= 1:
+                spans.append(range(g, g + 1))
+            else:
+                raise ValueError(f"gaps must be integers >= 1 or step-1 ranges of them, got {g!r}")
+        runs: list[range] = []
+        for r in sorted(filter(None, spans), key=lambda r: r.start):
+            if runs and r.start <= runs[-1].stop:
+                runs[-1] = range(runs[-1].start, max(runs[-1].stop, r.stop))
+            else:
+                runs.append(r)
+        object.__setattr__(self, "runs", tuple(runs))
 
     @classmethod
     def of(cls, value: GapSet | Iterable[int]) -> GapSet:
         if isinstance(value, GapSet):
             return value
-        return cls(tuple(value))
+        return cls([value] if isinstance(value, range) and value.step == 1 else value)
 
     def __iter__(self):
-        return iter(self.gaps)
+        return chain.from_iterable(self.runs)
 
     def __len__(self) -> int:
-        return len(self.gaps)
-
-    def runs(self) -> list[tuple[int, int]]:
-        """Maximal runs lo..hi of consecutive gaps, in ascending order."""
-        out: list[tuple[int, int]] = []
-        for g in self.gaps:
-            if out and out[-1][1] == g - 1:
-                out[-1] = (out[-1][0], g)
-            else:
-                out.append((g, g))
-        return out
+        return sum(map(len, self.runs))
 
     def bounds_if_contiguous(self) -> tuple[int, int] | None:
         """(lo, hi) when the gaps form the full run lo..hi, else None."""
-        runs = self.runs()
-        return runs[0] if len(runs) == 1 else None
-
+        return (self.runs[0].start, self.runs[0][-1]) if len(self.runs) == 1 else None

@@ -43,6 +43,23 @@ PATHS_6 = [
 ]
 
 
+def run_in_child(code, megabytes):
+    """Run `python -c code` on this checkout's sources with the address space capped."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+    src = str(Path(gapwords.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=limit_memory,
+        timeout=120,
+    )
+
+
 def all_gap_sets(n):
     for size in range(n):
         yield from combinations(range(1, n), size)
@@ -100,7 +117,7 @@ class TestPathCounts:
         # gives that row as differences of its column sums
         for n in range(1, 9):
             for m in all_gap_sets(n):
-                a = [0] + list(counting._tail_counts(n, GapSet.of(m).runs()))
+                a = [0] + list(counting._tail_counts(n, GapSet.of(m).runs))
                 row = [a[d + 1] - a[d] for d in range(n)]
                 w = path_counts(gap_adjacency(n, m))
                 expected = [[row[j - i] if j > i else 0 for j in range(n)] for i in range(n)]
@@ -152,25 +169,25 @@ class TestComplexity:
     def test_long_word_in_bounded_memory(self):
         # a list of all n tail counts would hold about 370 MB at n=100,000;
         # the count keeps only the last few, so a 256 MB child finishes
-        resource = pytest.importorskip("resource")
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-
         n, gaps, p = 100_000, (2, 3, 4), 1_000_000_007
-        src = str(Path(gapwords.__file__).resolve().parents[1])
         code = f"from gapwords.counting import complexity; print(complexity({n}, {gaps}) % {p})"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            env=dict(os.environ, PYTHONPATH=src),
-            preexec_fn=limit_memory,
-            timeout=120,
-        )
+        proc = run_in_child(code, 256)
         a = [0] * (n + 1)
         for i in range(1, n + 1):
             a[i] = (1 + sum(a[i - g] for g in gaps if g < i)) % p
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{sum(a) % p}\n".encode(), b"")
+
+    def test_huge_range_in_bounded_memory(self):
+        # a range is stored as one run and clipped at n - 1 by the engine, so
+        # a gap set of 10^18 values fits a 64 MB child
+        code = (
+            "from gapwords.counting import complexity; from gapwords.words import GapSet; "
+            "print(complexity(5, range(1, 10**18)), GapSet.of(range(3, 10**18)).runs)"
+        )
+        proc = run_in_child(code, 64)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, b"31 (range(3, 1000000000000000000),)\n", b""
+        )
 
 
 class TestClosedForms:

@@ -67,7 +67,7 @@ def test_tail_counts_match_warshall_columns(case):
     n, gaps = case
     w = counting.path_counts(counting.gap_adjacency(n, gaps))
     columns = [1 + sum(row[j] for row in w) for j in range(n)]
-    assert list(counting._tail_counts(n, GapSet.of(gaps).runs())) == columns
+    assert list(counting._tail_counts(n, GapSet.of(gaps).runs)) == columns
 
 
 @settings(max_examples=200, deadline=None)

@@ -38,7 +38,14 @@ def test_readme_examples():
 # the plain value it wraps, an attribute to assign)
 VALUES = [
     (Word("abc"), Word("abc"), Word("abd"), "Word(text='abc')", "abc", "text"),
-    (GapSet((3, 1)), GapSet((1, 3)), GapSet((1,)), "GapSet(gaps=(1, 3))", (1, 3), "gaps"),
+    (
+        GapSet((3, 1)),
+        GapSet((1, 3)),
+        GapSet((1,)),
+        "GapSet(runs=(range(1, 2), range(3, 4)))",
+        (1, 3),
+        "runs",
+    ),
     (
         CorrespondenceResult(3, 3, True),
         CorrespondenceResult(3, 3, True),
@@ -86,12 +93,12 @@ class TestWord:
     def test_parse_rainbow(self):
         w = Word("abcd")
         assert len(w) == 4
-        assert w.is_rainbow
+        assert len(set(w.text)) == len(w)
 
     def test_parse_non_rainbow(self):
         w = Word("aabbbaaa")
         assert len(w) == 8
-        assert not w.is_rainbow
+        assert len(set(w.text)) != len(w)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -102,11 +109,13 @@ class TestWord:
             Word(5)
 
     def test_case_sensitive_letters(self):
-        assert Word("aA").is_rainbow
+        w = Word("aA")
+        assert len(set(w.text)) == len(w)
 
     def test_rainbow_word_helper(self):
         assert rainbow_word(4).text == "abcd"
-        assert rainbow_word(26).is_rainbow
+        w = rainbow_word(26)
+        assert len(set(w.text)) == len(w)
         with pytest.raises(ValueError):
             rainbow_word(0)
 
@@ -114,17 +123,22 @@ class TestWord:
 class TestGapSet:
     def test_canonical_form(self):
         gs = GapSet.of([3, 1, 3, 2])
-        assert gs.gaps == (1, 2, 3)
+        assert gs.runs == (range(1, 4),)
         assert list(gs) == [1, 2, 3]
         assert 2 in gs and 4 not in gs
 
     def test_empty_allowed(self):
         assert len(GapSet.of(())) == 0
 
-    @pytest.mark.parametrize("bad", [0, -1, "2"])
+    @pytest.mark.parametrize(
+        "bad",
+        [[0], [-1], ["2"], [1, "a"], [2, None], [range(0, 3)], [range(1, 9, 2)]],
+        ids=lambda bad: ",".join(map(str, bad)),
+    )
     def test_invalid_values(self, bad):
-        with pytest.raises((ValueError, TypeError)):
-            GapSet.of([bad])
+        # each item is checked before the runs are sorted, so mixed types are a ValueError too
+        with pytest.raises(ValueError):
+            GapSet.of(bad)
 
     def test_bounds_if_contiguous(self):
         assert GapSet.of([2, 3, 4]).bounds_if_contiguous() == (2, 4)
@@ -133,9 +147,12 @@ class TestGapSet:
         assert GapSet.of(()).bounds_if_contiguous() is None
 
     def test_runs(self):
-        assert GapSet.of([7, 1, 2, 3, 5, 8, 9]).runs() == [(1, 3), (5, 5), (7, 9)]
-        assert GapSet.of([4]).runs() == [(4, 4)]
-        assert GapSet.of(()).runs() == []
+        assert GapSet.of([7, 1, 2, 3, 5, 8, 9]).runs == (range(1, 4), range(5, 6), range(7, 10))
+        assert GapSet.of([4]).runs == (range(4, 5),)
+        assert GapSet.of(()).runs == ()
+        # ranges stay whole; overlapping and touching ones merge, empty ones drop out
+        mixed = GapSet([range(3, 6), 6, 2, range(10, 10), range(8, 12), 9])
+        assert mixed.runs == (range(2, 7), range(8, 12))
 
     def test_large_gaps_inert(self):
         # values at or beyond the word length are legal, they just never fire
