@@ -86,8 +86,8 @@ def format_gaps(gs: GapSet) -> str:
 def _json_chunks(record: dict) -> Iterator[str]:
     """`json.dumps(record)` in pieces.
 
-    An iterator value is an array that arrives in batches: each batch is a
-    list of items, encoded with one `json.dumps`, and an empty one adds nothing.
+    An iterator value is an array that arrives in batches: each batch is the
+    json text of some items, joined by ", ", and an empty one adds nothing.
     """
     import json
     yield "{"
@@ -98,7 +98,7 @@ def _json_chunks(record: dict) -> Iterator[str]:
             sep = ""
             for batch in value:
                 if batch:
-                    yield sep + json.dumps(batch)[1:-1]
+                    yield sep + batch
                     sep = ", "
             yield "]"
         else:
@@ -112,8 +112,8 @@ def _write(
     """Print one result as json of `record()`, csv `header` then `rows`, or plain `lines`.
 
     Every form is written as it is produced, so rows, lines and iterator
-    values of the record can be lazy. With `rows` None, the plain lines are
-    the csv rows: they must need no quoting, and skip the writer's scan.
+    values of the record (json text, see `_json_chunks`) can be lazy. With `rows`
+    None, the plain lines are the csv rows: they must need no quoting, and skip the writer's scan.
     """
     if fmt == "json":
         for chunk in _json_chunks(record()):
@@ -190,18 +190,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise CLIError(str(err)) from err
     gs = parse_gap_spec(args.gaps, len(word))
-    # Sorted batches that concatenate to the listing, written as they come.
-    count, runs = latin.subword_runs(word, gs, dedup=args.dedup, singles=args.include_single)
+    # Sorted text batches, written as they come; `end` only separates their lines.
+    count, end, texts = latin.subword_text(word, gs, dedup=args.dedup, singles=args.include_single)
+    blocks = filter(None, texts)
+
+    def items() -> Iterator[str]:
+        import json
+        if json.dumps(word.text) == f'"{word.text}"':  # every letter encodes as itself
+            return ('"' + block.replace(end, '", "') + '"' for block in blocks)
+        return (json.dumps(block.split(end))[1:-1] for block in blocks)
+
     return _write(
         args.format,
-        lambda: {
-            "word": word.text,
-            "gaps": list(gs),
-            "count": str(count),
-            "subwords": runs,
-        },
-        ["subword"], ([s] for run in runs for s in run),
-        chain(("\n".join(run) for run in runs if run), [f"count: {count}"]),
+        lambda: {"word": word.text, "gaps": list(gs), "count": str(count), "subwords": items()},
+        ["subword"], ([s] for block in blocks for s in block.split(end)),
+        chain(blocks if end == "\n" else (block.replace(end, "\n") for block in blocks), [f"count: {count}"]),
     )
 
 
@@ -228,7 +231,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                 "d1": args.d1,
                 "d2": args.d2,
                 "which": args.which,
-                "coefficients": ([{"n": i, "value": str(v)}] for i, v in rows),
+                "coefficients": (f'{{"n": {i}, "value": "{v}"}}' for i, v in rows),  # digits only
             },
             ["n", "value"], None,  # digit-only csv rows: the plain lines
             (f"{i},{v}" for i, v in rows),
@@ -370,11 +373,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     # One print per node's edges: a print per edge is several times slower,
     # and one for the whole graph holds every line at once.
     for i, name in enumerate(names):
-        edges = []
-        for g in gs:
-            if i + g >= args.n:
-                break
-            edges.append(f"  {name} -> {names[i + g]};")
+        edges = [f"  {name} -> {names[i + g]};" for g in gs.below(args.n - i)]
         if edges:
             print("\n".join(edges))
     print("}")

@@ -42,7 +42,7 @@ def gap_adjacency(n: int, gaps: GapsLike) -> Matrix:
     n - 1 contribute nothing.
     """
     _check_length(n)
-    allowed = set(GapSet.of(gaps))
+    allowed = set(GapSet.of(gaps).below(n))
     return [[1 if (j - i) in allowed else 0 for j in range(n)] for i in range(n)]
 
 

@@ -1,12 +1,12 @@
 """Every nontrivial gap-constrained subword: one listing walk and the set-valued Warshall pass.
 
-`subword_runs` lists the subwords of any word from a depth-first walk over
-them, children in letter order, so the listing comes out sorted, a batch at a
-time, with no global sort. A subword's state is the set of positions where
-its spellings end, kept per start position (their union with dedup), so a
-string is listed once per (start, end) pair, or once. On a rainbow word
-every state is one position. The set-valued Warshall pass stays as the
-paper artefact and the reference that `check` and the tests compare against.
+`subword_text` lists the subwords of any word from a depth-first walk over
+them, children in letter order, so the listing comes out sorted, a batch of
+text at a time, with no global sort; `subword_runs` splits it into lists. A
+subword's state is the set of positions where its spellings end, kept per
+start position (their union with dedup), so a string is listed once per
+(start, end) pair, or once. The set-valued Warshall pass stays as the paper
+artefact and the reference that `check` and the tests compare against.
 
 In that pass, cell (i, j) holds the actual subwords that start at position
 i and end at position j (always length >= 2). It is `counting.warshall`, the
@@ -56,29 +56,38 @@ def _concat(cell: set[str], left: set[str], right: set[str]) -> set[str]:
 
 
 def subword_runs(
-    word: Word | str,
-    gaps: GapSet | Iterable[int],
-    dedup: bool = False,
-    singles: bool = False,
+    word: Word | str, gaps: GapSet | Iterable[int], dedup: bool = False, singles: bool = False
 ) -> tuple[int, Iterator[list[str]]]:
     """The number of subwords and sorted batches whose concatenation lists them.
 
     Without `singles` the listing is `nontrivial_subwords(word, gaps, dedup)`;
     with it, the length-1 subwords are merged in, one per letter position (one
     per letter with `dedup`). The number is known before the first batch.
+    The batches are those of `subword_text`, split into lists.
+    """
+    count, end, texts = subword_text(word, gaps, dedup, singles)
+    return count, (text.split(end) if text else [] for text in texts)
 
-    The batches come lazily, first letter by first letter in letter order, from
-    a walk over the subwords, each followed by those that extend it by one gap,
-    in letter order of their new last letter. A subword's state holds, for each
-    start position that spells it, the bitmask of its end positions (with
-    `dedup`, their union); it is listed once per (start, end) pair, or once.
-    Each state's children and total are worked out once, before the first
-    batch: one state per position on a rainbow word, many more on a long
-    irregular one. Only a few subwords are held at a time.
+
+def subword_text(
+    word: Word | str, gaps: GapSet | Iterable[int], dedup: bool = False, singles: bool = False
+) -> tuple[int, str, Iterator[str]]:
+    """`subword_runs` as text: the number, a line end, and batches of lines joined by it.
+
+    The line end is "\n", or for a word that contains "\n", the first character
+    the word lacks. The batches come lazily, first letter by first letter in
+    letter order, from a walk over the subwords, each followed by those that
+    extend it by one gap, in letter order of their new last letter. A
+    subword's state holds, for each start position that spells it, the bitmask
+    of its end positions (with `dedup`, their union); it is listed once per
+    (start, end) pair, or once. Each state's children and total are worked out
+    once, before the first batch: one state per position on a rainbow word,
+    many more on a long irregular one. Only a few subwords are held at a time.
     """
     text = as_word(word).text
     n = len(text)
-    steps = [g for g in GapSet.of(gaps) if g < n]
+    end = "\n" if "\n" not in text else min({*map(chr, range(n + 1))} - {*text})
+    steps = list(GapSet.of(gaps).below(n))
     starts: dict[str, list[int]] = {}  # the positions of each letter, as bits
     for i, c in enumerate(text):
         starts.setdefault(c, []).append(1 << i)
@@ -107,21 +116,23 @@ def subword_runs(
                 found.append((c, child, weight(child)))
         todo += [child for _, child, _ in found if child not in kids]
     # States keep their sorted runs, smallest total first, as long as all of
-    # them together hold at most `budget` subwords; a run holds what follows
-    # the state's last letter, and the walk writes it in bulk under each
-    # prefix that reaches the state.
+    # them together hold at most `budget` subwords. A run is one text block,
+    # the lines that follow the state's last letter joined by `end`; the walk
+    # writes it under each prefix that reaches the state with one replace.
     budget = _BUDGET
-    runs: dict[tuple[int, ...], list[str]] = {}
+    runs: dict[tuple[int, ...], str] = {}
     held = 0
     for state in sorted(total, key=total.__getitem__):
         held += total[state]
         if held > budget:
             break
-        runs[state] = [""] * weight(state) + [c + s for c, child, _ in kids[state] for s in runs[child]]
+        parts = [""] * weight(state) + [c + runs[child].replace(end, end + c) for c, child, _ in kids[state]]
+        runs[state] = end.join(parts)
 
-    def batches() -> Iterator[list[str]]:
+    def batches() -> Iterator[str]:
         for c, root in roots:
             out = [c] * weight(root) if singles else []
+            lines = len(out)
             # Depth first, with each prefix beside the kids it has yet to visit.
             stack = [(c, iter(kids[root]))]
             while stack:
@@ -130,26 +141,24 @@ def subword_runs(
                     longer = prefix + letter
                     run = runs.get(child)
                     if run is not None:
-                        out += map(longer.__add__, run)
+                        out.append(longer + run.replace(end, end + longer))
+                        lines += total[child]
                     else:
                         out += [longer] * w
+                        lines += w
                         stack.append((longer, iter(kids[child])))
                         break
                 else:
                     stack.pop()
-                if len(out) >= budget:
-                    yield out
-                    out = []
-            yield out
+                if lines >= budget:
+                    yield end.join(out)
+                    out, lines = [], 0
+            yield end.join(out)
 
-    return sum(total[root] - (0 if singles else weight(root)) for _, root in roots), batches()
+    return sum(total[root] - (0 if singles else weight(root)) for _, root in roots), end, batches()
 
 
-def nontrivial_subwords(
-    word: Word | str,
-    gaps: GapSet | Iterable[int],
-    dedup: bool = False,
-) -> list[str]:
+def nontrivial_subwords(word: Word | str, gaps: GapSet | Iterable[int], dedup: bool = False) -> list[str]:
     """Every subword of length >= 2, sorted lexicographically.
 
     On a non-rainbow word the same string can be spelled from several

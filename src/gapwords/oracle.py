@@ -23,9 +23,8 @@ def iter_selections(word: WordLike, gaps: GapsLike) -> Iterator[tuple[int, ...]]
     each selection comes before its extensions. The walk keeps an explicit
     stack of position tuples, so selections of any length work.
     """
-    w = as_word(word)
-    n = len(w)
-    steps = [g for g in GapSet.of(gaps) if g < n]
+    n = len(as_word(word))
+    steps = list(GapSet.of(gaps).below(n))
     stack = [(start,) for start in range(n, 0, -1)]
     while stack:
         chosen = stack.pop()
@@ -60,10 +59,9 @@ def is_subword(candidate: str, word: WordLike, gaps: GapsLike) -> bool:
     """
     if not candidate:
         return False
-    w = as_word(word)
-    text = w.text
+    text = as_word(word).text
     n = len(text)
-    steps = [g for g in GapSet.of(gaps) if g < n]
+    steps = list(GapSet.of(gaps).below(n))
     stack = [(start, 1) for start in range(n, 0, -1) if text[start - 1] == candidate[0]]
     while stack:
         pos, matched = stack.pop()

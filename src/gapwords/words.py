@@ -8,7 +8,7 @@ usual convention in combinatorics on words.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -111,6 +111,10 @@ class GapSet(_Value):
 
     def __len__(self) -> int:
         return sum(map(len, self.runs))
+
+    def below(self, n: int) -> Iterator[int]:
+        """The gaps below n, the ones a word of length n can use; larger ones are never visited."""
+        return chain.from_iterable(range(r.start, min(r.stop, n)) for r in self.runs)
 
     def bounds_if_contiguous(self) -> tuple[int, int] | None:
         """(lo, hi) when the gaps form the full run lo..hi, else None."""

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -354,6 +356,37 @@ class TestEnumerate:
         assert out.endswith(b"\nbbbbbbbbbbbbbbab\nbbbbbbbbbbbbbbb\ncount: 3524574\n")
 
 
+# Words whose text needs care in some format: quotes, backslashes, commas,
+# line ends of any kind, control characters and letters outside ASCII.
+TEXT_WORDS = ('a"b\\c', 'ab,c"a', "a\nb\na", "\n", "x\r\ny", "é€😀x", "a\tb\x01c", "abcdefgh")
+
+# Subwords a listing may hold at once: from one stored run up to all.
+BUDGETS = (1, 2, 3, latin._BUDGET, math.inf)
+
+
+class TestEnumerateText:
+    @pytest.mark.parametrize("budget", BUDGETS, ids=str)
+    def test_each_format_writes_the_library_listing(self, capsys, monkeypatch, budget):
+        monkeypatch.setattr(latin, "_BUDGET", budget)
+        for word, spec in product(TEXT_WORDS, ("1-n-1", "1,3")):
+            gaps = parse_gap_spec(spec, len(word))
+            for dedup, singles in product((False, True), repeat=2):
+                letters = (sorted(set(word)) if dedup else list(word)) if singles else []
+                listing = sorted(latin.nontrivial_subwords(word, gaps, dedup) + letters)
+                argv = ["enumerate", "--word", word, "--gaps", spec]
+                argv += ["--dedup"] * dedup + ["--include-single"] * singles
+                record = {"word": word, "gaps": list(gaps), "count": str(len(listing)), "subwords": listing}
+                table = io.StringIO()
+                csv.writer(table).writerows([["subword"], *([s] for s in listing)])
+                expected = {
+                    "plain": "\n".join([*listing, f"count: {len(listing)}"]) + "\n",
+                    "json": json.dumps(record) + "\n",
+                    "csv": table.getvalue(),
+                }
+                for fmt, out in expected.items():
+                    assert run_cli(capsys, *argv, "--format", fmt) == (0, out, ""), (argv, fmt)
+
+
 class TestSeries:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(
@@ -379,6 +412,19 @@ class TestSeries:
         assert record["which"] == "K"
         assert record["coefficients"][0] == {"n": 1, "value": "1"}
         assert record["coefficients"][-1] == {"n": 13, "value": "345"}
+
+    @pytest.mark.parametrize("which, d1, d2, count", [("a", 1, 1, 1), ("K", 2, 4, 13), ("a", 3, 5, 40), ("K", 1, 2, 300)])
+    def test_json_equals_json_dumps_of_the_record(self, capsys, which, d1, d2, count):
+        series = intervals.tail_count_series if which == "a" else intervals.complexity_series
+        values = series(d1, d2, count)[1:]
+        record = {
+            "d1": d1,
+            "d2": d2,
+            "which": which,
+            "coefficients": [{"n": i, "value": str(v)} for i, v in enumerate(values, 1)],
+        }
+        argv = ["series", "--which", which, "--d1", str(d1), "--d2", str(d2), "--count", str(count)]
+        assert run_cli(capsys, *argv, "--format", "json") == (0, json.dumps(record) + "\n", "")
 
     def test_csv_header(self, capsys):
         _, out, _ = run_cli(

@@ -93,6 +93,9 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             gap_adjacency(0, [1])
 
+    def test_wide_range_is_clipped_at_the_length(self):
+        assert gap_adjacency(3, range(1, 10**18)) == [[0, 1, 1], [0, 0, 1], [0, 0, 0]]
+
 
 class TestPathCounts:
     def test_worked_example(self):

@@ -6,7 +6,13 @@ from itertools import chain, combinations, product
 import pytest
 
 from gapwords import counting, latin, oracle
-from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_runs, warshall_latin
+from gapwords.latin import (
+    initial_latin_matrix,
+    nontrivial_subwords,
+    subword_runs,
+    subword_text,
+    warshall_latin,
+)
 from gapwords.words import rainbow_word
 
 
@@ -109,6 +115,10 @@ class TestNontrivialSubwords:
     def test_empty_gap_set(self):
         assert nontrivial_subwords("abcde", ()) == []
 
+    def test_wide_gap_range_is_clipped_at_the_word_length(self):
+        # the walk visits gaps below the word length only, so this ends at once
+        assert nontrivial_subwords("abc", range(1, 10**18)) == ["ab", "abc", "ac", "bc"]
+
 
 class TestAgainstOracleAndCounts:
     def test_cells_match_path_counts(self):
@@ -164,6 +174,15 @@ class TestSubwordRuns:
         count, runs = subword_runs("cab", [1, 2])
         assert (count, list(runs)) == (4, [["ab"], [], ["ca", "cab", "cb"]])
 
+    def test_a_batch_closes_once_it_holds_the_budget(self):
+        # a step of the walk adds one subword or one stored run, which holds
+        # at most `_BUDGET`; only the last batch of each first letter is short
+        count, runs = subword_runs(rainbow_word(16), range(1, 16))
+        sizes = [len(run) for run in runs]
+        assert sum(sizes) == count == 2**16 - 17
+        assert max(sizes) < 2 * latin._BUDGET
+        assert sum(size < latin._BUDGET for size in sizes) <= 16
+
     def test_non_rainbow_runs_are_sorted_and_concatenate_to_the_listing(self):
         count, runs = subword_runs("aabbbaaa", range(3, 8), dedup=True)
         runs = list(runs)
@@ -218,3 +237,41 @@ class TestSubwordRuns:
             expected = sorted(chain(singles, nontrivial_subwords("abab", [1, 2], dedup=dedup)))
             assert (count, list(chain(*runs))) == (len(expected), expected)
             assert all(run == sorted(run) for run in runs)
+
+
+# Words whose text needs care: quotes, backslashes, commas, line ends of any
+# kind, control characters and letters outside ASCII.
+TEXT_WORDS = ('a"b\\c', 'ab,c"a', "a\nb\na", "\n", "x\r\ny", "é€😀x", "a\tb\x01c")
+
+
+class TestSubwordText:
+    @pytest.mark.parametrize(
+        "word, end", [("abc", "\n"), ("a\tb\x01c", "\n"), ("x\r\ny", "\x00"), ("\x00\n", "\x01")]
+    )
+    def test_line_end_is_newline_unless_the_word_holds_one(self, word, end):
+        assert subword_text(word, [1])[1] == end
+
+    def test_batches_are_the_listing_joined_by_the_line_end(self, monkeypatch):
+        # the lines of every batch, in order, are the listing of the set-valued
+        # pass, and each batch holds the subwords of the matching batch of
+        # subword_runs, for every budget from one stored run up to all
+        for w in (*TEXT_WORDS, "abcdefg", "aabbbaaa"):
+            for m in ((), (1,), (1, 3), range(1, len(w))):
+                final = warshall_latin(initial_latin_matrix(w, m))
+                cells = sorted(s for row in final for cell in row for s in cell)
+                expected = {
+                    (False, False): cells,
+                    (True, False): sorted(set(cells)),
+                    (False, True): sorted(cells + list(w)),
+                    (True, True): sorted(set(cells) | set(w)),
+                }
+                for budget in BUDGETS:
+                    monkeypatch.setattr(latin, "_BUDGET", budget)
+                    for (dedup, singles), listing in expected.items():
+                        count, end, texts = subword_text(w, m, dedup, singles)
+                        texts = list(texts)
+                        lines = [s for text in texts if text for s in text.split(end)]
+                        assert end not in w
+                        assert (count, lines) == (len(listing), listing), (w, m, budget, dedup, singles)
+                        split = [text.split(end) if text else [] for text in texts]
+                        assert split == list(subword_runs(w, m, dedup, singles)[1]), (w, m, budget)

@@ -159,6 +159,19 @@ class TestGapSet:
         assert oracle.count_selections("abc", GapSet.of([5])) == 3
         assert oracle.enumerate_subwords("abc", [99]) == {"a", "b", "c"}
 
+    def test_below(self):
+        gs = GapSet([range(2, 5), 7, range(9, 10**18)])
+        assert list(gs.below(8)) == [2, 3, 4, 7]
+        assert list(gs.below(12)) == [2, 3, 4, 7, 9, 10, 11]
+        assert list(gs.below(2)) == [] == list(GapSet(()).below(5))
+
+    def test_wide_range_is_clipped_before_the_walk(self):
+        # the walks visit gaps below the word length only, so this ends at once
+        wide = range(1, 10**18)
+        assert oracle.count_selections("abc", wide) == 7
+        assert oracle.is_subword("ac", "abc", wide)
+        assert not oracle.is_subword("ca", "abc", wide)
+
 
 class TestOracle:
     def test_abcd_gap_1_3(self):
