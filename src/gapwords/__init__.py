@@ -33,7 +33,7 @@ from gapwords.intervals import (
     tail_counts,
     tail_counts_simplified,
 )
-from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_runs, warshall_latin
+from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_text, warshall_latin
 from gapwords.words import GapSet, Word, rainbow_word
 
 __version__ = "0.1.0"
@@ -54,7 +54,7 @@ __all__ = [
     "initial_latin_matrix",
     "warshall_latin",
     "nontrivial_subwords",
-    "subword_runs",
+    "subword_text",
     "tail_counts",
     "tail_counts_simplified",
     "gap_range_complexity",

@@ -83,42 +83,32 @@ def format_gaps(gs: GapSet) -> str:
     return ",".join(str(r.start) if len(r) == 1 else f"{r.start}-{r[-1]}" for r in gs.runs)
 
 
-def _json_chunks(record: dict) -> Iterator[str]:
-    """`json.dumps(record)` in pieces.
-
-    An iterator value is an array that arrives in batches: each batch is the
-    json text of some items, joined by ", ", and an empty one adds nothing.
-    """
-    import json
-    yield "{"
-    for k, (key, value) in enumerate(record.items()):
-        yield (", " if k else "") + json.dumps(key) + ": "
-        if isinstance(value, Iterator):
-            yield "["
-            sep = ""
-            for batch in value:
-                if batch:
-                    yield sep + batch
-                    sep = ", "
-            yield "]"
-        else:
-            yield json.dumps(value)
-    yield "}"
-
-
 def _write(
     fmt: str, record: Callable, header: list, rows: Iterable | None, lines: Iterable
 ) -> int:
     """Print one result as json of `record()`, csv `header` then `rows`, or plain `lines`.
 
-    Every form is written as it is produced, so rows, lines and iterator
-    values of the record (json text, see `_json_chunks`) can be lazy. With `rows`
-    None, the plain lines are the csv rows: they must need no quoting, and skip the writer's scan.
+    Every form is written as it is produced, so rows and lines can be lazy,
+    and so can the record's last value: an iterator there is a json array
+    that arrives in nonempty batches, each the json text of some items joined
+    by ", ". With `rows` None, the plain lines are the csv rows: they must
+    need no quoting, and skip the writer's scan.
     """
     if fmt == "json":
-        for chunk in _json_chunks(record()):
-            sys.stdout.write(chunk)
-        print()
+        import json
+        fields = record()
+        key = next(reversed(fields))
+        batches = fields[key]
+        if isinstance(batches, Iterator):
+            fields[key] = []
+            sys.stdout.write(json.dumps(fields)[:-2])  # all but the empty array's "]}"
+            sep = ""
+            for batch in batches:
+                sys.stdout.write(sep + batch)
+                sep = ", "
+            print("]}")
+        else:
+            print(json.dumps(fields))
     elif fmt == "csv":
         import csv
         writer = csv.writer(sys.stdout)
@@ -191,8 +181,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise CLIError(str(err)) from err
     gs = parse_gap_spec(args.gaps, len(word))
     # Sorted text batches, written as they come; `end` only separates their lines.
-    count, end, texts = latin.subword_text(word, gs, dedup=args.dedup, singles=args.include_single)
-    blocks = filter(None, texts)
+    count, end, blocks = latin.subword_text(word, gs, dedup=args.dedup, singles=args.include_single)
 
     def items() -> Iterator[str]:
         import json
@@ -204,7 +193,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         args.format,
         lambda: {"word": word.text, "gaps": list(gs), "count": str(count), "subwords": items()},
         ["subword"], ([s] for block in blocks for s in block.split(end)),
-        chain(blocks if end == "\n" else (block.replace(end, "\n") for block in blocks), [f"count: {count}"]),
+        chain((block.replace(end, "\n") for block in blocks), [f"count: {count}"]),
     )
 
 
@@ -309,8 +298,8 @@ def _listing_mismatch(word: str, m: tuple[int, ...]) -> str | None:
         return "set-valued Warshall"
     if latin.nontrivial_subwords(word, m) != expected:
         return "enumeration"
-    count, runs = latin.subword_runs(word, m, dedup=True)
-    if (count, [*chain.from_iterable(runs)]) != (len(set(expected)), sorted(set(expected))):
+    count, end, texts = latin.subword_text(word, m, dedup=True)
+    if (count, end.join(texts)) != (len(set(expected)), end.join(sorted(set(expected)))):
         return "dedup enumeration"
     return None
 

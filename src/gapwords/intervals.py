@@ -78,21 +78,23 @@ def series_terms(which: str, d1: int, d2: int, count: int, one=1) -> Iterator:
     """Coefficients 1..count of the tail series ("a") or the complexity series ("K").
 
     The arguments are checked before the first term, and the terms are then
-    produced one at a time, in the arithmetic of `one` as for
-    `counting._tail_counts`: the series of a is z / (z^(d2+1) - z^d1 - z + 1)
-    and the series of K is that divided by 1 - z, its running sums. A
-    `Decimal` one needs an active context that traps `Inexact`, so that a
-    term too long for its precision raises instead of rounding; draw the
-    terms in that context too.
+    produced one at a time, in the arithmetic of `one` (the int 1 or
+    `Decimal(1)`) as for `counting._tail_counts`: the series of a is
+    z / (z^(d2+1) - z^d1 - z + 1) and the series of K is that divided by
+    1 - z, its running sums. A `Decimal` one needs an active context that
+    traps `Inexact`, so that a term too long for its precision raises
+    instead of rounding; draw the terms in that context too.
     """
     _check_span(d1, d2)
     if not _is_int(count) or count < 1:
         raise ValueError(f"need count >= 1, got {count!r}")
     if which not in ("a", "K"):
         raise ValueError(f"which must be 'a' or 'K', got {which!r}")
-    if not isinstance(one, int):
+    if not (_is_int(one) and one == 1):
         import decimal
-        if isinstance(one, decimal.Decimal) and not decimal.getcontext().traps[decimal.Inexact]:
+        if not isinstance(one, decimal.Decimal) or str(one) != "1":
+            raise ValueError(f"one must be the int 1 or Decimal(1), got {one!r}")
+        if not decimal.getcontext().traps[decimal.Inexact]:
             raise ValueError("exact decimal terms need a context that traps Inexact")
     terms = _tail_counts(count, [range(d1, d2 + 1)], one)
     return terms if which == "a" else accumulate(terms)

@@ -2,7 +2,7 @@
 
 `subword_text` lists the subwords of any word from a depth-first walk over
 them, children in letter order, so the listing comes out sorted, a batch of
-text at a time, with no global sort; `subword_runs` splits it into lists. A
+text at a time, with no global sort; `nontrivial_subwords` splits it. A
 subword's state is the set of positions where its spellings end, kept per
 start position (their union with dedup), so a string is listed once per
 (start, end) pair, or once. The set-valued Warshall pass stays as the paper
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import reduce
-from itertools import chain
 from operator import or_
 
 from gapwords.counting import gap_adjacency, warshall
@@ -55,34 +54,25 @@ def _concat(cell: set[str], left: set[str], right: set[str]) -> set[str]:
     return cell
 
 
-def subword_runs(
-    word: Word | str, gaps: GapSet | Iterable[int], dedup: bool = False, singles: bool = False
-) -> tuple[int, Iterator[list[str]]]:
-    """The number of subwords and sorted batches whose concatenation lists them.
-
-    Without `singles` the listing is `nontrivial_subwords(word, gaps, dedup)`;
-    with it, the length-1 subwords are merged in, one per letter position (one
-    per letter with `dedup`). The number is known before the first batch.
-    The batches are those of `subword_text`, split into lists.
-    """
-    count, end, texts = subword_text(word, gaps, dedup, singles)
-    return count, (text.split(end) if text else [] for text in texts)
-
-
 def subword_text(
     word: Word | str, gaps: GapSet | Iterable[int], dedup: bool = False, singles: bool = False
 ) -> tuple[int, str, Iterator[str]]:
-    """`subword_runs` as text: the number, a line end, and batches of lines joined by it.
+    """The number of subwords, a line end, and nonempty sorted batches of lines joined by it.
 
-    The line end is "\n", or for a word that contains "\n", the first character
-    the word lacks. The batches come lazily, first letter by first letter in
-    letter order, from a walk over the subwords, each followed by those that
-    extend it by one gap, in letter order of their new last letter. A
-    subword's state holds, for each start position that spells it, the bitmask
-    of its end positions (with `dedup`, their union); it is listed once per
-    (start, end) pair, or once. Each state's children and total are worked out
-    once, before the first batch: one state per position on a rainbow word,
-    many more on a long irregular one. Only a few subwords are held at a time.
+    Without `singles` the lines are `nontrivial_subwords(word, gaps, dedup)`;
+    with it, the length-1 subwords are merged in, one per letter position (one
+    per letter with `dedup`). The number is known before the first batch. The
+    line end is "\n", or for a word that contains "\n", the first character
+    the word lacks; the batches joined by it are the whole listing.
+
+    The batches come lazily, first letter by first letter in letter order,
+    from a walk over the subwords, each followed by those that extend it by
+    one gap, in letter order of their new last letter. A subword's state
+    holds, for each start position that spells it, the bitmask of its end
+    positions (with `dedup`, their union); it is listed once per (start, end)
+    pair, or once. Each state's children and total are worked out once, before
+    the first batch: one state per position on a rainbow word, many more on a
+    long irregular one. Only a few subwords are held at a time.
     """
     text = as_word(word).text
     n = len(text)
@@ -153,7 +143,8 @@ def subword_text(
                 if lines >= budget:
                     yield end.join(out)
                     out, lines = [], 0
-            yield end.join(out)
+            if out:
+                yield end.join(out)
 
     return sum(total[root] - (0 if singles else weight(root)) for _, root in roots), end, batches()
 
@@ -166,4 +157,5 @@ def nontrivial_subwords(word: Word | str, gaps: GapSet | Iterable[int], dedup: b
     dedup it is listed once per pair, with dedup once. Rainbow words are
     unaffected by the flag.
     """
-    return list(chain.from_iterable(subword_runs(word, gaps, dedup)[1]))
+    _, end, texts = subword_text(word, gaps, dedup)
+    return [s for text in texts for s in text.split(end)]

@@ -357,8 +357,9 @@ class TestEnumerate:
 
 
 # Words whose text needs care in some format: quotes, backslashes, commas,
-# line ends of any kind, control characters and letters outside ASCII.
-TEXT_WORDS = ('a"b\\c', 'ab,c"a', "a\nb\na", "\n", "x\r\ny", "é€😀x", "a\tb\x01c", "abcdefgh")
+# line ends of any kind, control characters and letters outside ASCII; and a
+# middle first letter that starts no longer subword, and an empty listing.
+TEXT_WORDS = ('a"b\\c', 'ab,c"a', "a\nb\na", "\n", "x\r\ny", "é€😀x", "a\tb\x01c", "abcdefgh", "cab", "a")
 
 # Subwords a listing may hold at once: from one stored run up to all.
 BUDGETS = (1, 2, 3, latin._BUDGET, math.inf)
@@ -590,12 +591,12 @@ class TestCheck:
     def test_listing_fault_on_repeated_letters_is_caught(self, capsys, monkeypatch):
         # a listing that merges the copies of a string from several cells
         # leaves rainbow words as they are; only the words over {a,b} show it
-        runs = latin.subword_runs
+        text = latin.subword_text
 
         def merge_copies(word, gaps, dedup=False, singles=False):
-            return runs(word, gaps, True, singles)
+            return text(word, gaps, True, singles)
 
-        monkeypatch.setattr(latin, "subword_runs", merge_copies)
+        monkeypatch.setattr(latin, "subword_text", merge_copies)
         code, out, _ = run_cli(capsys, "check", "--n-max", "6")
         assert code == 1
         assert "oracle(n=6): Warshall=methods=enumeration=oracle over all gap sets (32): PASS" in out

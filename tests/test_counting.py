@@ -141,6 +141,7 @@ class TestPathCounts:
             [[1, 0], [0, 0]],  # diagonal
             [[0, 1.0], [0, 0]],  # not int
             [[0 if j <= i else 1.0 for j in range(60)] for i in range(60)],  # would sum to a float
+            [[0, True, 1], [0, 0, True], [0, 0, 0]],  # bools would come back as entries
         ],
     )
     def test_rejects_bad_adjacency(self, bad):

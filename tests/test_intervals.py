@@ -1,6 +1,7 @@
 """Tail-count recurrences, series expansion, and the pair correspondence."""
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -140,6 +141,13 @@ class TestSeriesTerms:
                 series_terms(*args)
         with pytest.raises(ValueError):
             tail_count_series(2, 4, 2.5)
+        # the arithmetic is that of the int 1 or Decimal(1), nothing else;
+        # the context never rounds, so only `one` is wrong here
+        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+        with localcontext(exact):
+            for one in (2, 1.0, True, Fraction(1, 2), Fraction(1), Decimal("1.0"), Decimal(2), "1"):
+                with pytest.raises(ValueError):
+                    series_terms("a", 2, 4, 6, one)
 
     def test_decimals_need_a_context_that_never_rounds(self):
         # under the default 28-digit context the last term would silently round

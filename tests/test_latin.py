@@ -9,7 +9,6 @@ from gapwords import counting, latin, oracle
 from gapwords.latin import (
     initial_latin_matrix,
     nontrivial_subwords,
-    subword_runs,
     subword_text,
     warshall_latin,
 )
@@ -169,23 +168,29 @@ REPEATED = (
 BUDGETS = (1, 2, 3, latin._BUDGET, math.inf)
 
 
+def split_batches(*args):
+    """The count of `subword_text` and its batches, each split into its lines."""
+    count, end, texts = subword_text(*args)
+    return count, [text.split(end) for text in texts]
+
+
 class TestSubwordRuns:
     def test_runs_follow_letter_order(self):
-        count, runs = subword_runs("cab", [1, 2])
-        assert (count, list(runs)) == (4, [["ab"], [], ["ca", "cab", "cb"]])
+        # b starts no subword of length >= 2, so it has no batch
+        count, runs = split_batches("cab", [1, 2])
+        assert (count, runs) == (4, [["ab"], ["ca", "cab", "cb"]])
 
     def test_a_batch_closes_once_it_holds_the_budget(self):
         # a step of the walk adds one subword or one stored run, which holds
         # at most `_BUDGET`; only the last batch of each first letter is short
-        count, runs = subword_runs(rainbow_word(16), range(1, 16))
+        count, runs = split_batches(rainbow_word(16), range(1, 16))
         sizes = [len(run) for run in runs]
         assert sum(sizes) == count == 2**16 - 17
         assert max(sizes) < 2 * latin._BUDGET
         assert sum(size < latin._BUDGET for size in sizes) <= 16
 
     def test_non_rainbow_runs_are_sorted_and_concatenate_to_the_listing(self):
-        count, runs = subword_runs("aabbbaaa", range(3, 8), dedup=True)
-        runs = list(runs)
+        count, runs = split_batches("aabbbaaa", range(3, 8), True)
         assert (count, list(chain(*runs))) == (4, ["aa", "ab", "aba", "ba"])
         assert all(run == sorted(run) for run in runs)
 
@@ -211,8 +216,7 @@ class TestSubwordRuns:
                     for budget in BUDGETS:
                         monkeypatch.setattr(latin, "_BUDGET", budget)
                         for (dedup, singles), listing in expected.items():
-                            count, runs = subword_runs(w, m, dedup, singles)
-                            runs = list(runs)
+                            count, runs = split_batches(w, m, dedup, singles)
                             flat = [s for run in runs for s in run]
                             assert (count, flat) == (len(listing), listing), (w, m, budget, dedup, singles)
                             assert all(run == sorted(run) for run in runs), (w, m, budget, dedup, singles)
@@ -225,14 +229,13 @@ class TestSubwordRuns:
                     expected = sorted(oracle.enumerate_subwords(w, m))
                     for budget in BUDGETS:
                         monkeypatch.setattr(latin, "_BUDGET", budget)
-                        count, runs = subword_runs(w, m, singles=True)
+                        count, runs = split_batches(w, m, False, True)
                         flat = [s for run in runs for s in run]
                         assert (count, flat) == (len(expected), expected), (w, m, budget)
 
     def test_singles_on_non_rainbow_words(self):
         for dedup in (False, True):
-            count, runs = subword_runs("abab", [1, 2], dedup=dedup, singles=True)
-            runs = list(runs)
+            count, runs = split_batches("abab", [1, 2], dedup, True)
             singles = sorted(set("abab")) if dedup else sorted("abab")
             expected = sorted(chain(singles, nontrivial_subwords("abab", [1, 2], dedup=dedup)))
             assert (count, list(chain(*runs))) == (len(expected), expected)
@@ -253,8 +256,7 @@ class TestSubwordText:
 
     def test_batches_are_the_listing_joined_by_the_line_end(self, monkeypatch):
         # the lines of every batch, in order, are the listing of the set-valued
-        # pass, and each batch holds the subwords of the matching batch of
-        # subword_runs, for every budget from one stored run up to all
+        # pass, for every budget from one stored run up to all, and no batch is empty
         for w in (*TEXT_WORDS, "abcdefg", "aabbbaaa"):
             for m in ((), (1,), (1, 3), range(1, len(w))):
                 final = warshall_latin(initial_latin_matrix(w, m))
@@ -270,8 +272,7 @@ class TestSubwordText:
                     for (dedup, singles), listing in expected.items():
                         count, end, texts = subword_text(w, m, dedup, singles)
                         texts = list(texts)
-                        lines = [s for text in texts if text for s in text.split(end)]
+                        lines = [s for text in texts for s in text.split(end)]
                         assert end not in w
                         assert (count, lines) == (len(listing), listing), (w, m, budget, dedup, singles)
-                        split = [text.split(end) if text else [] for text in texts]
-                        assert split == list(subword_runs(w, m, dedup, singles)[1]), (w, m, budget)
+                        assert all(texts), (w, m, budget, dedup, singles)
