@@ -10,60 +10,30 @@ the paper's direct recurrence, and a naive brute-force oracle everything is
 cross-checked against.
 """
 
-from gapwords.counting import (
-    HAS_COMPILED_KERNEL,
-    add_identity,
-    binomial,
-    complexity,
-    gap_adjacency,
-    gap_range_upper_bound,
-    min_gap_complexity,
-    path_counts,
-    prefix_gap_complexity,
-    single_gap_complexity,
-)
-from gapwords.intervals import (
-    CorrespondenceResult,
-    check_correspondence,
-    complexity_series,
-    gap_pair_complexity,
-    gap_range_complexity,
-    series_terms,
-    tail_count_series,
-    tail_counts,
-    tail_counts_simplified,
-)
-from gapwords.latin import initial_latin_matrix, nontrivial_subwords, subword_text, warshall_latin
-from gapwords.words import GapSet, Word, rainbow_word
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "GapSet",
-    "Word",
-    "rainbow_word",
-    "binomial",
-    "gap_adjacency",
-    "path_counts",
-    "add_identity",
-    "complexity",
-    "min_gap_complexity",
-    "prefix_gap_complexity",
-    "single_gap_complexity",
-    "gap_range_upper_bound",
-    "initial_latin_matrix",
-    "warshall_latin",
-    "nontrivial_subwords",
-    "subword_text",
-    "tail_counts",
-    "tail_counts_simplified",
-    "gap_range_complexity",
-    "series_terms",
-    "tail_count_series",
-    "complexity_series",
-    "gap_pair_complexity",
-    "check_correspondence",
-    "CorrespondenceResult",
-    "HAS_COMPILED_KERNEL",
-    "__version__",
-]
+# The public names of each module. A name loads its module on first use (PEP
+# 562), so a CLI run imports only the modules that its command runs.
+_HOMES = {
+    name: module
+    for module, names in {
+        "words": "GapSet Word rainbow_word",
+        "counting": "binomial gap_adjacency path_counts add_identity complexity min_gap_complexity"
+        " prefix_gap_complexity single_gap_complexity gap_range_upper_bound HAS_COMPILED_KERNEL",
+        "latin": "initial_latin_matrix warshall_latin nontrivial_subwords subword_text",
+        "intervals": "tail_counts tail_counts_simplified gap_range_complexity series_terms"
+        " tail_count_series complexity_series gap_pair_complexity check_correspondence"
+        " CorrespondenceResult",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = __import__(f"{__name__}.{_HOMES[name]}", fromlist=[name])
+    value = globals()[name] = getattr(home, name)
+    return value

@@ -1,24 +1,24 @@
 """Command-line front end: counting, enumeration, series, self-checks, DOT export.
 
-Results print through one writer, `_write`, which builds the JSON record only
-for json. Values past 64 bits are decimal strings in JSON and CSV, so they
-read back exactly.
+`parse_args` reads argv as argparse would against one table, `COMMANDS`,
+which also gives the -h text. A usage error is one `gapwords: ...` line on
+stderr and exit code 2, like every other diagnostic. Results print through
+one writer, `_write`. Values past 64 bits are decimal strings in JSON and
+CSV, so they read back exactly.
 
 Most runs are one short command, so start-up is most of their time: a module
-that only one format or subcommand needs (json, csv, decimal, random, the
-oracle) is imported in the function that uses it, not here.
+that only some commands need (json, csv, decimal, random, intervals, latin,
+the oracle) is imported in the function that uses it, not here.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, product
 
-from gapwords import counting, intervals, latin
+from gapwords import counting
 from gapwords.words import GapSet, Word, rainbow_word
 
 ORACLE_CAP = 10  # brute-force equivalence checks stop here; beyond is exponential pain
@@ -28,8 +28,6 @@ METHODS = ("matrix", "recurrence", "super-d", "single-gap", "prefix", "formula-1
 
 # Python 3.10 builds before 3.10.7 have no int-to-str digit limit.
 _HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
-
-_GAP_ITEM = re.compile(r"(\d+|n-1)(?:-(\d+|n-1))?")
 
 
 class CLIError(Exception):
@@ -54,18 +52,21 @@ def parse_gap_spec(text: str, n: int) -> GapSet:
     def value(token: str) -> int:
         return n - 1 if token == "n-1" else int(token)
 
+    def is_value(token: str) -> bool:  # decimal digits, any script (what re calls \d), or n-1
+        return token == "n-1" or token.isdecimal()
+
     gaps: list[range] = []
     for item in s.split(","):
         item = item.strip()
-        m = _GAP_ITEM.fullmatch(item)
-        if not m:
+        first, sep, last = ("n-1", item[3:4], item[4:]) if item[:3] == "n-1" else item.partition("-")
+        if not (is_value(first) and (sep == last == "" or sep == "-" and is_value(last))):
             raise CLIError(
                 f"bad gap item {item!r} (expected a value like 3, a range like 2-5, or n-1)"
             )
-        lo = value(m.group(1))
-        hi = value(m.group(2)) if m.group(2) else lo
+        lo = value(first)
+        hi = value(last) if last else lo
         # An item ending in the token n-1 is empty when n-1 is below its start or is 0.
-        if (m.group(2) or m.group(1)) == "n-1" and hi < max(lo, 1) and (lo or m.group(1) == "n-1"):
+        if (last or first) == "n-1" and hi < max(lo, 1) and (lo or first == "n-1"):
             continue
         if lo < 1:
             raise CLIError(f"gap values must be >= 1, got {lo}")
@@ -83,6 +84,26 @@ def format_gaps(gs: GapSet) -> str:
     return ",".join(str(r.start) if len(r) == 1 else f"{r.start}-{r[-1]}" for r in gs.runs)
 
 
+def _as_is_in_json(text: str) -> bool:
+    """Whether `json.dumps` writes `text` as itself between quotes: printable ASCII, no " or \\."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _json_text(fields: dict) -> str:
+    """`json.dumps(fields)`, written here when each value is an int, a list of ints or a
+    string `_as_is_in_json`; any other record loads `json`."""
+    items = []
+    for key, value in fields.items():
+        if type(value) is str and _as_is_in_json(value):
+            items.append(f'"{key}": "{value}"')
+        elif type(value) is int or type(value) is list and all(type(v) is int for v in value):
+            items.append(f'"{key}": {value}')  # str() of ints and of their lists is their json
+        else:
+            import json
+            return json.dumps(fields)
+    return "{" + ", ".join(items) + "}"
+
+
 def _write(
     fmt: str, record: Callable, header: list, rows: Iterable | None, lines: Iterable
 ) -> int:
@@ -95,20 +116,19 @@ def _write(
     need no quoting, and skip the writer's scan.
     """
     if fmt == "json":
-        import json
         fields = record()
         key = next(reversed(fields))
         batches = fields[key]
         if isinstance(batches, Iterator):
             fields[key] = []
-            sys.stdout.write(json.dumps(fields)[:-2])  # all but the empty array's "]}"
+            sys.stdout.write(_json_text(fields)[:-2])  # all but the empty array's "]}"
             sep = ""
             for batch in batches:
                 sys.stdout.write(sep + batch)
                 sep = ", "
             print("]}")
         else:
-            print(json.dumps(fields))
+            print(_json_text(fields))
     elif fmt == "csv":
         import csv
         writer = csv.writer(sys.stdout)
@@ -131,6 +151,7 @@ def _write(
 def _dispatch_count(n: int, gs: GapSet, method: str) -> int:
     if method == "matrix":
         return counting.complexity(n, gs)
+    from gapwords import intervals
     span = gs.bounds_if_contiguous()
     if method == "recurrence":
         if span is None:
@@ -158,7 +179,7 @@ def _dispatch_count(n: int, gs: GapSet, method: str) -> int:
     raise CLIError(f"unknown method {method!r}")
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: Args) -> int:
     gs = parse_gap_spec(args.gaps, args.n)
     value = _dispatch_count(args.n, gs, args.method)
     return _write(
@@ -174,7 +195,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: Args) -> int:
+    from gapwords import latin
     try:
         word = Word(args.word)
     except ValueError as err:
@@ -184,9 +206,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     count, end, blocks = latin.subword_text(word, gs, dedup=args.dedup, singles=args.include_single)
 
     def items() -> Iterator[str]:
-        import json
-        if json.dumps(word.text) == f'"{word.text}"':  # every letter encodes as itself
+        if _as_is_in_json(word.text):  # every letter encodes as itself
             return ('"' + block.replace(end, '", "') + '"' for block in blocks)
+        import json
         return (json.dumps(block.split(end))[1:-1] for block in blocks)
 
     return _write(
@@ -202,10 +224,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: Args) -> int:
     # Exact decimals print in linear time where int-to-str is quadratic. The
     # context never rounds: a term that would need it raises instead.
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+
+    from gapwords import intervals
 
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
     with localcontext(exact):
@@ -241,7 +265,7 @@ def _gap_sets_for(n: int, rng, k: int) -> list[tuple[int, ...]]:
 
 
 def _check_oracle_line(n: int, rng) -> tuple[str, bool]:
-    from gapwords import oracle
+    from gapwords import intervals, oracle
     word = rainbow_word(n)
     gap_sets = _gap_sets_for(n, rng, 200)
     for m in gap_sets:
@@ -289,7 +313,7 @@ def _listing_mismatch(word: str, m: tuple[int, ...]) -> str | None:
     Without dedup a string is listed once per (start, end) pair of positions
     that spell it: the oracle's distinct (first, last position, string) triples.
     """
-    from gapwords import oracle
+    from gapwords import latin, oracle
     selections = (p for p in oracle.iter_selections(word, m) if len(p) > 1)
     expected = sorted(s for _, _, s in {(p[0], p[-1], "".join(word[i - 1] for i in p)) for p in selections})
     # No listing runs the set-valued pass; compare it here.
@@ -304,10 +328,13 @@ def _listing_mismatch(word: str, m: tuple[int, ...]) -> str | None:
     return None
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: Args) -> int:
     if args.n_max < 1 or args.d_max < 1:
         raise CLIError("--n-max and --d-max must be >= 1")
     import random
+
+    from gapwords import intervals
+
     rng = random.Random(2011)
     failures = 0
 
@@ -354,7 +381,7 @@ def _node_names(n: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n)]
 
 
-def _cmd_dot(args: argparse.Namespace) -> int:
+def _cmd_dot(args: Args) -> int:
     gs = parse_gap_spec(args.gaps, args.n)
     names = _node_names(args.n)
     print("digraph gapwords {\n  rankdir=LR;")
@@ -374,75 +401,158 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gapwords",
-        description=(
-            "Scattered subwords with gap constraints: count them, list them, "
-            "expand their series, cross-check the formulas, export the gap graph."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+FORMATS = ("plain", "json", "csv")
+REQUIRED = "required"  # the default of an option that must be given
 
-    count = sub.add_parser("count", help="complexity of a rainbow word of length n")
-    count.add_argument("--n", type=int, required=True, help="word length")
-    count.add_argument(
-        "--gaps", required=True, help="allowed gaps, e.g. 2-5 or 1,3 or 2-n-1 or {} for none"
-    )
-    count.add_argument(
-        "--method",
-        choices=METHODS,
-        default="matrix",
-        help="computation route; each formula method needs a matching gap shape",
-    )
-    count.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    count.set_defaults(handler=_cmd_count)
+# command -> (handler, help line, options), and option dest -> (kind, default,
+# help). An option is written --dest, with - for _. Its kind is int, str, a
+# tuple of choices, or bool for a flag that takes no value.
+COMMANDS = {
+    "count": (_cmd_count, "complexity of a rainbow word of length n", {
+        "n": (int, REQUIRED, "word length"),
+        "gaps": (str, REQUIRED, "allowed gaps, e.g. 2-5 or 1,3 or 2-n-1 or {} for none"),
+        "method": (METHODS, "matrix", "computation route; each formula method needs a matching gap shape"),
+        "format": (FORMATS, "plain", "output format"),
+    }),
+    "enumerate": (_cmd_enumerate, "list the subwords of a word", {
+        "word": (str, REQUIRED, "the word; any letters"),
+        "gaps": (str, REQUIRED, "allowed gaps, as for count, with n the word length"),
+        "include_single": (bool, False, "also list length-1 subwords"),
+        "dedup": (bool, False, "merge equal strings (needed for non-rainbow words)"),
+        "format": (FORMATS, "plain", "output format"),
+    }),
+    "series": (_cmd_series, "expand the tail-count or complexity series", {
+        "d1": (int, REQUIRED, "smallest allowed gap"),
+        "d2": (int, REQUIRED, "largest allowed gap"),
+        "count": (int, REQUIRED, "number of coefficients"),
+        "which": (("a", "K"), REQUIRED, "a: tail counts, K: complexities"),
+        "format": (FORMATS, "plain", "output format"),
+    }),
+    "check": (_cmd_check, "cross-check formulas against each other and the oracle", {
+        "n_max": (int, 8, "largest word length checked"),
+        "d_max": (int, 6, "largest gap of the bound and correspondence lines"),
+    }),
+    "dot": (_cmd_dot, "emit the gap graph in DOT format", {
+        "n": (int, REQUIRED, "number of positions"),
+        "gaps": (str, REQUIRED, "allowed gaps, as for count"),
+    }),
+}
 
-    enum = sub.add_parser("enumerate", help="list the subwords of a word")
-    enum.add_argument("--word", required=True)
-    enum.add_argument("--gaps", required=True)
-    enum.add_argument(
-        "--include-single", action="store_true", help="also list length-1 subwords"
-    )
-    enum.add_argument(
-        "--dedup", action="store_true", help="merge equal strings (needed for non-rainbow words)"
-    )
-    enum.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    enum.set_defaults(handler=_cmd_enumerate)
+Args = type(sys.implementation)  # types.SimpleNamespace, without importing types
 
-    series = sub.add_parser("series", help="expand the tail-count or complexity series")
-    series.add_argument("--d1", type=int, required=True, help="smallest allowed gap")
-    series.add_argument("--d2", type=int, required=True, help="largest allowed gap")
-    series.add_argument("--count", type=int, required=True, help="number of coefficients")
-    series.add_argument(
-        "--which", choices=["a", "K"], required=True, help="a: tail counts, K: complexities"
-    )
-    series.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    series.set_defaults(handler=_cmd_series)
 
-    check = sub.add_parser("check", help="cross-check formulas against each other and the oracle")
-    check.add_argument("--n-max", type=int, default=8, dest="n_max")
-    check.add_argument("--d-max", type=int, default=6, dest="d_max")
-    check.set_defaults(handler=_cmd_check)
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = [f"usage: gapwords {{{','.join(COMMANDS)}}} ... (-h after one explains its options)"]
+        for name, (_, about, options) in COMMANDS.items():
+            flags = " ".join("--" + dest.replace("_", "-") for dest in options)
+            lines += ["", f"  {name:<11}{about}", f"{'':13}{flags}"]
+        return "\n".join(lines)
+    _, about, options = COMMANDS[command]
+    lines = [f"usage: gapwords {command} [options]", "", about, "", f"  {'-h, --help':<26}show this help"]
+    for dest, (kind, default, text) in options.items():
+        flag = "--" + dest.replace("_", "-")
+        if kind is not bool:
+            flag += " {" + ",".join(kind) + "}" if type(kind) is tuple else f" {dest.upper()}"
+            text += " (required)" if default is REQUIRED else f" (default: {default})"
+        lines.append(f"  {flag:<26}{text}" if len(flag) < 26 else f"  {flag}\n{'':28}{text}")
+    return "\n".join(lines)
 
-    dot = sub.add_parser("dot", help="emit the gap graph in DOT format")
-    dot.add_argument("--n", type=int, required=True)
-    dot.add_argument("--gaps", required=True)
-    dot.set_defaults(handler=_cmd_dot)
 
-    return parser
+def _read_token(arg: str, flags: dict[str, str]) -> tuple[str | None, str | None] | None:
+    """How argparse reads a token before any --: None for a value, else (flag or None if
+    unknown, the text after = or after a short flag's letter, or None)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    head, eq, tail = arg.partition("=")
+    if head in flags:
+        return head, tail if eq else None
+    if arg[1] == "-":
+        found = [flag for flag in flags if flag.startswith(head)]
+        if len(found) > 1:
+            raise CLIError(f"ambiguous option {head!r} could be {', '.join(found)}")
+        if found:
+            return found[0], tail if eq else None
+    elif arg[:2] in flags:
+        return arg[:2], arg[2:]
+    # A negative number (as argparse's ^-\d+$|^-\d*\.\d+$ matches) or a token with a space is a value.
+    digits = arg[1:-1] if arg[-1] == "\n" else arg[1:]
+    whole, dot, fraction = digits.partition(".")
+    number = digits.isdecimal() or dot and fraction.isdecimal() and (not whole or whole.isdecimal())
+    return None if number or " " in arg else (None, arg)
+
+
+def parse_args(argv: list[str]) -> Args | None:
+    """Read argv against COMMANDS as argparse would; print the help and return None for -h.
+
+    A usage error raises CLIError. The first value is the command. Each of
+    its tokens is read before any option takes a value, so an ambiguous
+    prefix fails even after -h.
+    """
+    command, options, values, unknown = None, {}, {}, []
+    while True:  # the top level, then the command
+        flags = {"-h": "help", "--help": "help", **{"--" + d.replace("_", "-"): d for d in options}}
+        end = argv.index("--") if "--" in argv else len(argv)
+        tokens = [_read_token(arg, flags) for arg in argv[:end]] + [(None, None)] * (len(argv) - end)
+        at = 0
+        while at < len(tokens):
+            flag, text = tokens[at] or (None, None)
+            at += 1
+            dest = flags.get(flag)
+            if dest is None and command is None and tokens[at - 1] is None:
+                break  # the command
+            if dest is None:
+                unknown.append(argv[at - 1])
+            elif dest == "help" or options[dest][0] is bool:
+                if text is not None and not (flag == "-h" and text and not text.strip("h")):  # -hh is -h twice
+                    raise CLIError(f"{flag} takes no value, got {text!r}")
+                if dest == "help":
+                    print(_help(command))
+                    return None
+                values[dest] = True
+            else:
+                if text is None:
+                    if at == len(tokens) or tokens[at] is not None:
+                        raise CLIError(f"{flag} needs a value")
+                    text, at = argv[at], at + 1
+                kind = options[dest][0]
+                if kind is int:
+                    try:
+                        text = int(text)  # before main lifts the int-to-str digit limit
+                    except ValueError:
+                        raise CLIError(f"{flag} needs an integer, got {text!r}") from None
+                elif kind is not str and text not in kind:
+                    raise CLIError(f"{flag} must be one of {', '.join(kind)}, got {text!r}")
+                values[dest] = text
+        else:
+            if command is None:
+                raise CLIError(f"missing command, one of {', '.join(COMMANDS)}")
+            break
+        command, argv = argv[at - 1], argv[at:]
+        if command not in COMMANDS:
+            raise CLIError(f"unknown command {command!r}, not one of {', '.join(COMMANDS)}")
+        options = COMMANDS[command][2]
+        values = {dest: default for dest, (_, default, _) in options.items()}
+    missing = [flag for flag, dest in flags.items() if values.get(dest) is REQUIRED]
+    if missing:
+        raise CLIError(f"missing {', '.join(missing)}")
+    if unknown:
+        raise CLIError(f"unrecognized arguments {' '.join(map(repr, unknown))}")
+    return Args(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     # Exact counts outgrow CPython's 4,300-digit int-to-str limit (gaps 2-4
-    # reach 4,981 digits at n=30,000). Lift it while the command runs;
-    # argparse has already read the numeric options under the default limit.
+    # reach 4,981 digits at n=30,000). Lift it while the command runs, once
+    # the numeric options are read under the default limit.
     saved_limit = sys.get_int_max_str_digits() if _HAS_DIGIT_LIMIT else None
-    if saved_limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0  # the help is printed
+        if saved_limit is not None:
+            sys.set_int_max_str_digits(0)
+        return COMMANDS[args.command][0](args)
     except CLIError as err:
         print(f"gapwords: {err}", file=sys.stderr)
         return 2

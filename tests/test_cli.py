@@ -1,21 +1,26 @@
 """CLI behaviour: dispatch, formats, diagnostics, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gapwords
 from gapwords import counting, intervals, latin
-from gapwords.cli import CLIError, format_gaps, main, parse_gap_spec
+from gapwords.cli import COMMANDS, FORMATS, METHODS, CLIError, format_gaps, main, parse_args, parse_gap_spec
 from gapwords.words import GapSet
 
 
@@ -80,6 +85,47 @@ def cli_subprocess(*argv, **kwargs):
         env=source_env(),
         **kwargs,
     )
+
+
+# The gap-item grammar as a regex; `\d` is Unicode category Nd, as str.isdecimal() tests.
+_GAP_ITEM = re.compile(r"(\d+|n-1)(?:-(\d+|n-1))?")
+
+
+def regex_parse_gap_spec(text: str, n: int) -> GapSet:
+    """`parse_gap_spec` as it was written with a regex: the reference for the string parser."""
+    if n < 1:
+        raise CLIError("--n must be >= 1")
+    s = text.strip()
+    if s in ("", "{}"):
+        return GapSet(())
+
+    def value(token):
+        return n - 1 if token == "n-1" else int(token)
+
+    gaps = []
+    for item in s.split(","):
+        item = item.strip()
+        m = _GAP_ITEM.fullmatch(item)
+        if not m:
+            raise CLIError(f"bad gap item {item!r}")
+        lo = value(m.group(1))
+        hi = value(m.group(2)) if m.group(2) else lo
+        if (m.group(2) or m.group(1)) == "n-1" and hi < max(lo, 1) and (lo or m.group(1) == "n-1"):
+            continue
+        if lo < 1:
+            raise CLIError(f"gap values must be >= 1, got {lo}")
+        if hi < lo:
+            raise CLIError(f"empty gap range {item!r}")
+        gaps.append(range(lo, min(hi, max(lo, n - 1)) + 1))
+    return GapSet(gaps)
+
+
+# Gap items of every kind, well-formed or not.
+GAP_ITEMS = (
+    "1", "2", "3", "1-3", "2-5", "n-1", "2-n-1", "1-n-1", "n-1-3", "n-1-n-1", "6-n-1", "0", "0-3", "5-3",
+    "1--2", "-2", "2-", "n-10", "n-", "n", "１", "２-４", "²", "٣", " 2 ", "", "{}", "x", "1 - 2",
+    "12345678901234567890", "1-12345678901234567890",
+)
 
 
 class TestGapSpecParsing:
@@ -185,6 +231,28 @@ class TestGapSpecParsing:
             gs = parse_gap_spec(spec, n=10)
             assert parse_gap_spec(format_gaps(gs), n=10) == gs
         assert format_gaps(GapSet(())) == "{}"
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        items=st.lists(
+            st.one_of(
+                st.sampled_from(GAP_ITEMS),
+                st.text(alphabet="0123456789n-１²٣ {},", max_size=8),
+                st.integers(0, 10**20).map(str),
+            ),
+            max_size=4,
+        ),
+        n=st.integers(1, 30),
+    )
+    def test_string_parser_equals_the_regex_grammar(self, items, n):
+        text = ",".join(items)
+        outcomes = []
+        for parse in (regex_parse_gap_spec, parse_gap_spec):
+            try:
+                outcomes.append(parse(text, n))
+            except CLIError:
+                outcomes.append(CLIError)
+        assert outcomes[0] == outcomes[1], text
 
 
 class TestCount:
@@ -701,6 +769,186 @@ class TestEntryPoint:
         assert err == b""
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI had: the reference that `parse_args` must read argv as."""
+    parser = argparse.ArgumentParser(prog="gapwords")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    count = sub.add_parser("count")
+    count.add_argument("--n", type=int, required=True)
+    count.add_argument("--gaps", required=True)
+    count.add_argument("--method", choices=METHODS, default="matrix")
+    count.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
+
+    enum = sub.add_parser("enumerate")
+    enum.add_argument("--word", required=True)
+    enum.add_argument("--gaps", required=True)
+    enum.add_argument("--include-single", action="store_true")
+    enum.add_argument("--dedup", action="store_true")
+    enum.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
+
+    series = sub.add_parser("series")
+    series.add_argument("--d1", type=int, required=True)
+    series.add_argument("--d2", type=int, required=True)
+    series.add_argument("--count", type=int, required=True)
+    series.add_argument("--which", choices=["a", "K"], required=True)
+    series.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
+
+    check = sub.add_parser("check")
+    check.add_argument("--n-max", type=int, default=8, dest="n_max")
+    check.add_argument("--d-max", type=int, default=6, dest="d_max")
+
+    dot = sub.add_parser("dot")
+    dot.add_argument("--n", type=int, required=True)
+    dot.add_argument("--gaps", required=True)
+    return parser
+
+
+FLAGS = sorted({"--" + dest.replace("_", "-") for _, _, options in COMMANDS.values() for dest in options})
+# Each of these asks for help wherever it stands. argparse reads `-h` followed
+# by other letters by version (3.13 takes -hx as -h and an unknown -x; 3.10-3.12
+# refuse it), and `parse_args` reads it as 3.10-3.12 do; so no other token
+# starting with -h is drawn below.
+HELP_FORMS = ("-h", "--help", "--h", "--he", "--hel", "-hh")
+OPTION_VALUES = (
+    "5", "0", "-5", "-.5", "-5.", "-1.5", "+5", " 5 ", "5_0", "５", "²", "-５", "-5\n", "5\n",
+    "-x", "-x y", "a b", "x", "", "-", "json", "csv", "plain", "xml", "a", "K", *METHODS,
+    "1-3", "-1-3", "n-1", "12345678901234567890",
+)
+# Texts that int() reads, and some it does not.
+INT_TEXTS = ("-5", "+5", " 5 ", "5_0", "５", "-５", "-5\n", "0", "-0", "x", "²", "5.0", "")
+NOISE = st.one_of(
+    st.sampled_from(FLAGS),
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(OPTION_VALUES)).map("=".join),
+    st.sampled_from(OPTION_VALUES),
+    st.sampled_from(("--", "--x", "--x=1", "-x", "-n", "---", "--=", "--=x", "--help=x", "-h=", *COMMANDS)),
+    st.sampled_from(HELP_FORMS),
+    st.text(max_size=4).filter(lambda token: not token.startswith("-h")),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command (or none) with most of its options, each whole or a prefix, its value
+    apart or after =, then a few tokens of any kind anywhere."""
+    command = draw(st.sampled_from((*COMMANDS, *COMMANDS, *COMMANDS, "bogus", None)))
+    argv = [command] if command else []
+    for dest, (kind, _, _) in COMMANDS.get(command, (None, None, {}))[2].items():
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        flag = flag[: draw(st.sampled_from((len(flag),) * 4 + (3, 4)))]
+        if kind is bool:
+            argv.append(flag)
+            continue
+        if kind is int:
+            fitting = st.one_of(st.integers(-99, 99).map(str), st.sampled_from(INT_TEXTS))
+        else:
+            fitting = st.sampled_from(kind if type(kind) is tuple else OPTION_VALUES)
+        value = draw(st.one_of(fitting, fitting, fitting, st.sampled_from(OPTION_VALUES)))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 1, 1, 2, 3)))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(NOISE))
+    return argv
+
+
+def argparse_outcome(argv):
+    """The reference parser's values for argv, without the handler, or its exit code."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            values = vars(build_parser().parse_args(argv))
+    except SystemExit as exit:
+        return exit.code
+    return values
+
+
+class TestOptionParser:
+    @settings(max_examples=1000, deadline=None)
+    @given(argv=argvs())
+    def test_reads_argv_as_argparse(self, argv):
+        expected = argparse_outcome(argv)
+        if isinstance(expected, dict):
+            assert vars(parse_args(argv)) == expected, argv
+            return
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code == expected, argv
+        if code == 0:
+            assert out.getvalue().startswith("usage: gapwords") and err.getvalue() == "", argv
+        else:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("gapwords: ") and err.getvalue().count("\n") == 1, argv
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    @pytest.mark.parametrize("form", HELP_FORMS)
+    def test_help_lists_the_table(self, capsys, command, form):
+        argv = [command, form] if command else [form]
+        assert argparse_outcome(argv) == 0
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if command:
+            _, about, options = COMMANDS[command]
+            words = [about, *("--" + dest.replace("_", "-") for dest in options)]
+        else:
+            words = [*COMMANDS, *(about for _, about, _ in COMMANDS.values())]
+        assert all(word in out for word in words), out
+
+    def test_usage_errors_are_one_line(self, capsys):
+        assert run_cli(capsys, "series", "--d", "2") == (
+            2, "", "gapwords: ambiguous option '--d' could be --d1, --d2\n"
+        )
+        assert run_cli(capsys, "count", "--n", "x", "--gaps", "1") == (
+            2, "", "gapwords: --n needs an integer, got 'x'\n"
+        )
+        assert run_cli(capsys, "enumerate", "--d", "--word", "aab", "--gaps=1") == (
+            0, "aa\naab\nab\ncount: 3\n", ""
+        )
+        assert run_cli(capsys, "count", "--n=6", "--gaps=2-5", "--form", "json") == (
+            0, '{"n": 6, "gaps": [2, 3, 4, 5], "method": "matrix", "complexity": "20"}\n', ""
+        )
+
+
+# Words whose text needs care in json, csv or plain output.
+ODD_WORDS = st.one_of(st.text(alphabet='ab\\,', max_size=6), st.text(alphabet='ab"\\,\x00\n\r\t\x7féx😀', max_size=6))
+GAP_SPECS = st.lists(st.sampled_from(GAP_ITEMS), min_size=1, max_size=3).map(",".join)
+
+
+class TestNoInputCrashes:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        command=st.sampled_from(list(COMMANDS)),
+        fmt=st.sampled_from(FORMATS),
+    )
+    def test_every_run_exits_0_or_2(self, data, command, fmt):
+        small = st.integers(-1, 12).map(str)
+        draw = data.draw
+        if command == "count":
+            argv = ["--n", draw(small), "--gaps", draw(GAP_SPECS), "--method", draw(st.sampled_from(METHODS))]
+        elif command == "enumerate":
+            argv = ["--word", draw(ODD_WORDS), "--gaps", draw(GAP_SPECS)]
+            argv += ["--dedup"] * draw(st.booleans()) + ["--include-single"] * draw(st.booleans())
+        elif command == "series":
+            argv = ["--d1", draw(small), "--d2", draw(small), "--count", draw(st.integers(-1, 40).map(str))]
+            argv += ["--which", draw(st.sampled_from("aK"))]
+        elif command == "check":
+            argv = ["--n-max", draw(st.integers(-1, 4).map(str)), "--d-max", draw(st.integers(-1, 3).map(str))]
+        else:
+            argv = ["--n", draw(small), "--gaps", draw(GAP_SPECS)]
+        if "format" in COMMANDS[command][2]:
+            argv += ["--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, *argv])
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("gapwords: ") and err.getvalue().count("\n") == 1
+        elif fmt == "json" and "format" in COMMANDS[command][2]:
+            text = out.getvalue()
+            assert text == json.dumps(json.loads(text)) + "\n", argv
+
+
 def modules_after(*argv):
     """stdout and the loaded modules of a child that runs `main(argv)` and exits.
 
@@ -719,9 +967,10 @@ def modules_after(*argv):
 
 class TestImports:
     # Modules that no plain count needs: each is loaded by the format or the
-    # subcommand that uses it.
+    # subcommand that uses it, or by no command at all.
     LAZY = {
-        "dataclasses", "inspect", "typing", "json", "csv", "random", "decimal", "gapwords.oracle"
+        "dataclasses", "inspect", "typing", "json", "csv", "random", "decimal", "gapwords.oracle",
+        "argparse", "gettext", "locale", "re", "gapwords.intervals", "gapwords.latin",
     }
 
     def test_count_loads_only_what_it_runs(self):
@@ -733,7 +982,7 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv, module",
         [
-            (["count", "--n", "6", "--gaps", "2-5", "--format", "json"], "json"),
+            (["enumerate", "--word", 'a"b', "--gaps", "1", "--format", "json"], "json"),
             (["count", "--n", "6", "--gaps", "2-5", "--format", "csv"], "csv"),
             (["check", "--n-max", "2"], "gapwords.oracle"),
         ],
@@ -742,3 +991,16 @@ class TestImports:
     def test_format_or_subcommand_loads_its_module(self, argv, module):
         out, loaded = modules_after(*argv)
         assert out and module in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "6", "--gaps", "2-5", "--format", "json"],
+            ["series", "--d1", "2", "--d2", "4", "--count", "13", "--which", "K", "--format", "json"],
+            ["enumerate", "--word", "a b,c", "--gaps", "1-n-1", "--format", "json"],
+        ],
+        ids=["count", "series", "enumerate"],
+    )
+    def test_json_of_plain_words_loads_no_json(self, argv):
+        out, loaded = modules_after(*argv)
+        assert json.loads(out) and "json" not in loaded
