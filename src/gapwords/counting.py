@@ -6,8 +6,8 @@ Vertices 1..n with an edge i -> j whenever j - i is an allowed gap form a DAG;
 subwords of length >= 2 correspond to directed paths, and the total count is
 obtained by summing a path-count matrix. That matrix is Toeplitz (the number
 of paths from i to j depends only on j - i), so `complexity` sums it from the
-tail counts of `_tail_counts`, which keeps only the last (largest gap + 1)
-of them. The range count and the series in `intervals` read the same
+tail counts of `_tail_counts`, which keeps only the last few of them, as
+far back as the ends of the gap runs read. The range count and the series in `intervals` read the same
 engine, the series in exact decimals when the CLI prints them. `path_counts`
 builds the matrix in full for any DAG by `warshall`, the one pass that
 `latin` also runs on subword sets. Results are exact Python integers.
@@ -95,23 +95,36 @@ def _tail_counts(n: int, runs: Iterable[range], one=1) -> Iterator:
     a[i] = a[i - 1] + sum over runs of (a[i - lo] - a[i - hi - 1]) with
     out-of-range indices read as a[0]. That is O(n * runs) big-integer
     additions; the series of a is z / ((1 - z)(1 - sum of z^g)). Gaps beyond
-    n - 1 are never usable, so the runs are clipped there and a ring holds the
-    last (largest usable gap + 1) values: a[i] sits in slot i % size, and each
-    slot is read before it is overwritten. Slots not yet written read as a[0] = 0.
+    n - 1 are never usable, and the one run that reaches n - 1 (the last) has
+    a far end a[i - hi - 1] = a[0] at every i <= n, so only its near end is
+    read. A ring holds the last values the ends read, as many as the largest
+    of them is far back: a[i] sits in slot i % size, and each slot is read
+    before it is overwritten. Slots not yet written read as a[0] = 0.
 
     The type of `one` sets the arithmetic: plain ints by default, or an exact
     `decimal.Decimal(1)` for callers that print every term, since Decimal
     renders in linear time where int-to-str is quadratic.
     """
-    ends = [(r.start, min(r.stop, n)) for r in runs if r.start < n]
-    size = ends[-1][1] if ends else 1
+    ends = [(r.start, r.stop) for r in runs if r.stop < n]
+    near = [r.start for r in runs if r.start < n <= r.stop]  # of the run that reaches n - 1
+    size = max([stop for _, stop in ends] + near, default=1)
     ring = [one - one] * size
     v = one
-    for i in range(1, n + 1):
+    # Up to its near end `top`, the run that reaches n - 1 adds nothing, so a
+    # gap set without one runs only the first loop. Past it, every other run
+    # is past its near end too, and that run adds one term.
+    top = near[0] if near else n
+    for i in range(1, top + 1):
         for lo, stop in ends:
             if lo >= i:
                 break
             v += ring[(i - lo) % size] - ring[(i - stop) % size]
+        ring[i % size] = v
+        yield v
+    for i in range(top + 1, n + 1):
+        for lo, stop in ends:
+            v += ring[(i - lo) % size] - ring[(i - stop) % size]
+        v += ring[(i - top) % size]
         ring[i % size] = v
         yield v
 

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from collections.abc import Iterator
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapwords
-from gapwords import counting, intervals, latin
+from gapwords import cli, counting, intervals, latin
 from gapwords.cli import COMMANDS, FORMATS, METHODS, CLIError, format_gaps, main, parse_args, parse_gap_spec
 from gapwords.words import GapSet
 
@@ -180,7 +181,7 @@ class TestGapSpecParsing:
 
     def test_long_word_range_in_bounded_memory(self):
         # the range is one run at any width, so only the engine's ring of
-        # n slots fills memory; 1.5M gaps as a list of ints would not fit 96 MB
+        # 1.5M slots fills memory; 1.5M gaps as a list of ints would not fit 96 MB
         proc = cli_subprocess(
             "count", "--n", "3000000", "--gaps", "1500000-n-1", preexec_fn=limit_address_space(96)
         )
@@ -188,10 +189,11 @@ class TestGapSpecParsing:
         assert (proc.returncode, out, err) == (0, b"1125003750000\n", b"")
 
     def test_out_of_memory_is_a_diagnostic(self):
-        # the range is never expanded, but the tail-count ring holds one slot
-        # per gap up to n-1, and 300M slots outgrow the child's 1 GB
+        # the range is never expanded, but a run that stops short of n-1 is
+        # read at both ends, so the tail-count ring holds one slot per gap up
+        # to its end, and 300M slots outgrow the child's 1 GB
         proc = cli_subprocess(
-            "count", "--n", "300000000", "--gaps", "1-n-1", preexec_fn=limit_address_space(1024)
+            "count", "--n", "300000000", "--gaps", "1-299999998", preexec_fn=limit_address_space(1024)
         )
         out, err = proc.communicate(timeout=120)
         assert (proc.returncode, out) == (2, b"")
@@ -555,6 +557,137 @@ class TestSeries:
         assert coefficients[-1] == {"n": 20000, "value": str(last)}
 
 
+def per_row_write(fmt, record, header, rows, lines):
+    """`cli._write` as it was before it wrote in blocks: the reference for its output.
+
+    One print per plain line, `writelines` for the csv rows of plain lines,
+    and one write per json batch.
+    """
+    if fmt == "json":
+        fields = record()
+        key = next(reversed(fields))
+        batches = fields[key]
+        if isinstance(batches, Iterator):
+            fields[key] = []
+            sys.stdout.write(json.dumps(fields)[:-2])
+            sep = ""
+            for batch in batches:
+                sys.stdout.write(sep + batch)
+                sep = ", "
+            print("]}")
+        else:
+            print(json.dumps(fields))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        if rows is None:
+            sys.stdout.writelines(f"{line}\r\n" for line in lines)
+        else:
+            writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+    return 0
+
+
+class WriteOnlyStdout:
+    """A stdout with only `write` and `flush`, like the benchmark tracer's sink."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def series_argv(which, count, fmt, d1=2, d2=4):
+    return ["series", "--which", which, "--d1", str(d1), "--d2", str(d2), "--count", str(count), "--format", fmt]
+
+
+def block_cuts(which, fmt, d1=2, d2=4):
+    """The series lengths at which the block writer makes its first two cuts."""
+    values = (intervals.tail_count_series if which == "a" else intervals.complexity_series)(d1, d2, 2000)[1:]
+    texts = (f'{{"n": {i}, "value": "{v}"}}' if fmt == "json" else f"{i},{v}" for i, v in enumerate(values, 1))
+    cuts, size = [], 0
+    for count, text in enumerate(texts, 1):
+        size += len(text)
+        if size >= cli._BLOCK:
+            cuts.append(count)
+            size = 0
+    return cuts[:2]
+
+
+class TestBlockWriter:
+    def outputs(self, capsys, monkeypatch, argv):
+        """The output of one command through the block writer, and through the per-row reference."""
+        blocks = run_cli(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_write", per_row_write)
+            rows = run_cli(capsys, *argv)
+        assert blocks[0] == rows[0] == 0 and blocks[2] == rows[2] == ""
+        return blocks[1], rows[1]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("which", ["a", "K"])
+    def test_series_around_block_cuts_equal_the_per_row_writer(self, capsys, monkeypatch, which, fmt):
+        cuts = block_cuts(which, fmt)
+        assert len(cuts) == 2 and cuts[0] > 2
+        for count in (1, 2, *(cut + step for cut in cuts for step in (-1, 0, 1))):
+            got, expected = self.outputs(capsys, monkeypatch, series_argv(which, count, fmt))
+            assert_same_text(got, expected)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_small_blocks_equal_the_per_row_writer(self, capsys, monkeypatch, block):
+        # every text, or a few, per block: a cut after each row and inside none
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        for which, fmt in product(("a", "K"), FORMATS):
+            got, expected = self.outputs(capsys, monkeypatch, series_argv(which, 200, fmt))
+            assert_same_text(got, expected)
+        for word, fmt in product(TEXT_WORDS, FORMATS):
+            argv = ["enumerate", "--word", word, "--gaps", "1-n-1", "--include-single", "--format", fmt]
+            got, expected = self.outputs(capsys, monkeypatch, argv)
+            assert got == expected, (word, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("which", ["a", "K"])
+    def test_long_series_equal_the_per_row_writer(self, capsys, monkeypatch, which, fmt):
+        # 21,000 terms of gaps 1-2 pass 4,300 digits
+        got, expected = self.outputs(capsys, monkeypatch, series_argv(which, 21000, fmt, 1, 2))
+        assert_same_text(got, expected)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_long_series_take_few_writes(self, fmt):
+        stdout = WriteOnlyStdout()
+        with redirect_stdout(stdout):
+            assert main(series_argv("a", 20000, fmt, 3, 5)) == 0
+        # about 24 MB of digits; every write but a header and the last one holds a full block
+        assert len(stdout.writes) <= sum(map(len, stdout.writes)) // cli._BLOCK + 2
+        assert len(stdout.writes) < 20000 / 3
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--n", "13", "--gaps", "2-4"),
+            ("series", "--which", "a", "--d1", "2", "--d2", "4", "--count", "3000"),
+            ("series", "--which", "K", "--d1", "2", "--d2", "4", "--count", "1"),
+            ("enumerate", "--word", "abcdefghij", "--gaps", "1-n-1"),
+            ("enumerate", "--word", 'a"b,é', "--gaps", "1-n-1", "--dedup"),
+            ("enumerate", "--word", "a", "--gaps", "1-n-1"),
+        ],
+        ids=["count", "series-a-3000", "series-K-1", "enumerate", "enumerate-dedup-quote", "enumerate-empty"],
+    )
+    def test_stdout_needs_only_write_and_flush(self, capsys, argv, fmt):
+        stdout = WriteOnlyStdout()
+        with redirect_stdout(stdout):
+            code = main([*argv, "--format", fmt])
+        assert (code, "".join(stdout.writes), "") == run_cli(capsys, *argv, "--format", fmt)
+
+
 class TestFormats:
     @pytest.mark.parametrize(
         "argv",
@@ -756,12 +889,21 @@ class TestDot:
 
 
 class TestEntryPoint:
-    def test_reader_closing_early_is_quiet(self):
-        # `gapwords series ... | head -1`: the series runs to about 1.5 MB,
-        # far past a pipe's buffer, so the child is still writing when the
-        # reader goes away.
-        proc = cli_subprocess("series", "--d1", "2", "--d2", "4", "--count", "5000", "--which", "a")
-        assert proc.stdout.readline() == b"1,1\n"
+    @pytest.mark.parametrize(
+        "fmt, head",
+        [
+            ("plain", b"1,1\n"),
+            ("csv", b"n,value\r\n1,1\r\n"),
+            ("json", b'{"d1": 2, "d2": 4, "which": "a", "coefficients": [{"n": 1, "value": "1"}, '),
+        ],
+        ids=["plain", "csv", "json"],
+    )
+    def test_reader_closing_early_is_quiet(self, fmt, head):
+        # `gapwords series ... | head -c N`, after the first row: the series
+        # runs to about 1.5 MB, far past a pipe's buffer, so the child is
+        # still writing when the reader goes away.
+        proc = cli_subprocess("series", "--d1", "2", "--d2", "4", "--count", "5000", "--which", "a", "--format", fmt)
+        assert proc.stdout.read(len(head)) == head
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
