@@ -6,9 +6,11 @@ stderr and exit code 2, like every other diagnostic. Results print through
 one writer, `_write`. Values past 64 bits are decimal strings in JSON and
 CSV, so they read back exactly.
 
-Most runs are one short command, so start-up is most of their time: a module
-that only some commands need (json, csv, decimal, random, intervals, latin,
-the oracle) is imported in the function that uses it, not here.
+Most runs are one short command, so start-up and exit are most of their
+time: a module that only some commands need (json, csv, decimal, random,
+intervals, latin, the oracle) is imported in the function that uses it, not
+here, and `run()` ends the process once its output is flushed, without
+finalizing the interpreter.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ _BLOCK = 4096
 
 # Python 3.10 builds before 3.10.7 have no int-to-str digit limit.
 _HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+
+# Before Python 3.11, `csv.writer` cannot write NUL without an escapechar.
+_CSV_WRITES_NUL = sys.version_info >= (3, 11)
 
 
 class CLIError(Exception):
@@ -221,6 +226,8 @@ def _cmd_enumerate(args: Args) -> int:
     except ValueError as err:
         raise CLIError(str(err)) from err
     gs = parse_gap_spec(args.gaps, len(word))
+    if args.format == "csv" and "\0" in word.text and not _CSV_WRITES_NUL:
+        raise CLIError("csv output of a word holding NUL needs Python 3.11 or later")
     # Sorted text batches, written as they come; `end` only separates their lines.
     count, end, blocks = latin.subword_text(word, gs, dedup=args.dedup, singles=args.include_single)
 
@@ -585,15 +592,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """Run `main()` on `sys.argv` and end the process with its exit code.
+
+    This is the `gapwords` script and `python -m gapwords.cli`. It never
+    returns and runs no `atexit` handlers: once stdout, then stderr, are
+    flushed, it calls `os._exit`, so the interpreter is not finalized; the
+    output is already written, and tearing down every module would only cost
+    time. A broken pipe on either stream, as when a reader closes stdout
+    early (`gapwords check | head`), exits 1 with nothing on stderr. Any other
+    exception propagates with its traceback. Code that embeds gapwords calls
+    `main()`.
+    """
     try:
         code = main()
         sys.stdout.flush()
+        if sys.stderr is not None:  # None when the process starts with fd 2 closed
+            sys.stderr.flush()
     except BrokenPipeError:
-        # The reader closed stdout early (`gapwords check | head`). Point
-        # stdout at devnull so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    raise SystemExit(code)
+        code = 1  # what is still buffered is dropped: os._exit flushes nothing
+    os._exit(code)
 
 
 if __name__ == "__main__":

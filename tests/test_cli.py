@@ -72,19 +72,29 @@ def assert_same_text(got, expected):
 
 
 def source_env():
-    """The environment of a child that imports this checkout's sources."""
+    """The environment of a child that imports this checkout's sources.
+
+    Its stdout is buffered, as a shell starts it, even where the tests run
+    with PYTHONUNBUFFERED: then only `run()`'s flush writes the last block.
+    """
     src = str(Path(gapwords.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
-def cli_subprocess(*argv, **kwargs):
+def cli_subprocess(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs):
     """Run `python -m gapwords.cli` on this checkout's sources."""
     return subprocess.Popen(
-        [sys.executable, "-m", "gapwords.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=source_env(),
-        **kwargs,
+        [sys.executable, "-m", "gapwords.cli", *argv], stdout=stdout, stderr=stderr, env=source_env(), **kwargs
+    )
+
+
+def run_in_child(prelude, *argv, stderr=subprocess.PIPE):
+    """Run `prelude`, then `cli.run()` on `argv`, in a child; its stdout is captured."""
+    code = f"import sys; {prelude}; from gapwords import cli; cli.run()"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=stderr, env=source_env(), timeout=60
     )
 
 
@@ -398,6 +408,21 @@ class TestEnumerate:
     def test_empty_word_rejected(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--word", "", "--gaps", "1")
         assert code != 0 and "nonempty" in err
+
+    def test_csv_of_a_word_holding_nul(self, capsys, monkeypatch):
+        # Before 3.11, csv.writer cannot write NUL: such a word is refused
+        # before any row. From 3.11 on, the rows are csv.writer's.
+        argv = ("enumerate", "--word", "a\0b", "--gaps", "1-n-1", "--format")
+        if sys.version_info >= (3, 11):
+            listing = run_cli(capsys, *argv, "plain")[1].split("\n")[:-2]  # without the count line
+            expected = io.StringIO()
+            csv.writer(expected).writerows([["subword"], *([s] for s in listing)])
+            assert run_cli(capsys, *argv, "csv") == (0, expected.getvalue(), "")
+            assert "\0" in expected.getvalue()
+            monkeypatch.setattr(cli, "_CSV_WRITES_NUL", False)
+        code, out, err = run_cli(capsys, *argv, "csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("gapwords: ") and err.count("\n") == 1
 
     def test_json_listing_in_bounded_memory(self):
         # 20 letters with every gap: about 1M subwords and 16 MB of json,
@@ -909,6 +934,51 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_series_to_a_file_equals_main(self, capsys, tmp_path, fmt):
+        # a regular file, not a pipe, holds all 24 MB the process wrote before it ended
+        argv = series_argv("a", 20000, fmt, 3, 5)
+        path = tmp_path / "out"
+        with open(path, "wb") as out:
+            proc = cli_subprocess(*argv, stdout=out)
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert_same_text(path.read_bytes().decode(), expected)
+
+    def test_usage_error_to_a_file(self, tmp_path):
+        path = tmp_path / "err"
+        with open(path, "wb") as err:
+            proc = cli_subprocess("count", "--n", "x", "--gaps", "1", stderr=err)
+            out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, b"")
+        text = path.read_text()
+        assert text.startswith("gapwords: ") and text.count("\n") == 1
+
+    def test_diagnostic_to_a_closed_stderr_exits_1(self):
+        # The reader of stderr is gone before the usage error is written. A
+        # traceback would go to the excepthook, which reports it on stdout.
+        hook = "sys.excepthook = lambda kind, *_: print('uncaught', kind.__name__)"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_in_child(hook, "count", "--n", "x", "--gaps", "1", stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+
+    def test_atexit_handlers_do_not_run(self):
+        hook = "import atexit; atexit.register(print, 'atexit ran')"
+        proc = run_in_child(hook, "count", "--n", "6", "--gaps", "2-5")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"20\n", b"")
+
+    def test_closed_fd_2_at_start_is_no_error(self):
+        # With fd 2 closed, sys.stderr is None; the run still flushes stdout and exits 0.
+        proc = cli_subprocess("count", "--n", "6", "--gaps", "2-5", preexec_fn=lambda: os.close(2))
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (0, b"20\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
