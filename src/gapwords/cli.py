@@ -11,6 +11,11 @@ time: a module that only some commands need (json, csv, decimal, random,
 intervals, latin, the oracle) is imported in the function that uses it, not
 here, and `run()` ends the process once its output is flushed, without
 finalizing the interpreter.
+
+Only `run()`, which owns the process, may fork: on two CPUs or more, a
+`series` longer than one block is written by the process and one forked
+child, which render and write alternate blocks (`_write_split`). `main()`,
+which tests and embedding code call, writes every block itself.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, product
+from itertools import chain, product, starmap
 
 from gapwords import counting
 from gapwords.words import GapSet, Word, rainbow_word
@@ -31,7 +36,24 @@ METHODS = ("matrix", "recurrence", "super-d", "single-gap", "prefix", "formula-1
 # Characters gathered for one stdout write by `_write_joined`: half of io's
 # 8,192-byte buffer. Blocks of 8,192 wrote a 20,000-term series about 4%
 # faster, but raised its peak RSS by 0.13 MB more (of about 14 MB).
+# A series split between two processes (`_write_split`) goes on in blocks
+# of about `_SPLIT_BLOCK` characters, cut by digit counts before rendering;
+# each process holds one rendered block and its bytes. On a 2-core machine
+# the split raised the peak RSS of a 20,000-term series by 0.1-0.3 MB with
+# blocks of 8,192 or 16,384 characters, and by about 0.1 MB more with
+# 24,576; blocks of 8,192 pass the token twice as often, and wrote the
+# series up to 7 ms slower than blocks of 16,384.
 _BLOCK = 4096
+_SPLIT_BLOCK = 16384
+
+# Set by `run()`, which ends the process: only there may a series be split
+# between two processes.
+_may_split = False
+
+# Passed between the two writers of a split series: the next block is yours.
+_TOKEN = b"\0"
+
+_OUT_OF_MEMORY = "out of memory in {}; try a smaller input"
 
 # Python 3.10 builds before 3.10.7 have no int-to-str digit limit.
 _HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
@@ -154,17 +176,154 @@ def _write_joined(texts: Iterable[str], sep: str, end: str) -> None:
     """Write `sep.join(texts) + end` to stdout in blocks, one `write` each.
 
     A block is cut where a text ends, once it holds at least `_BLOCK`
-    characters; a text that long on its own fills a block by itself.
+    characters; a text that long on its own fills a block by itself. At the
+    first cut of `_Rows` in a process that `run()` owns, `_write_split` may
+    take over and write the rest.
     """
     write = sys.stdout.write
+    split = _may_split and isinstance(texts, _Rows)
     parts, size = [], 0
     for text in texts:
         parts.append(text)
         size += len(text)
         if size >= _BLOCK:
-            write(sep.join(parts))
+            block = sep.join(parts)
+            if split and _write_split(block, texts, sep, end):
+                return
+            split = False
+            write(block)
             parts, size = [""], 0  # the next block starts with sep
     write(sep.join(parts) + end)
+
+
+class _Rows(starmap):
+    """The texts `form.format(n, value)` of `rows`, pairs of an int and an exact
+    `Decimal` integer, as `series` writes them.
+
+    The rows and the form stay readable, so that `_write_split` can cut the
+    rows into blocks by their digit counts without rendering them.
+    """
+
+    def __new__(cls, form: str, rows: Iterator[tuple]):
+        self = super().__new__(cls, form.format, rows)
+        self.form, self.rows = form, rows
+        return self
+
+
+def _write_split(first: str, texts: _Rows, sep: str, end: str) -> bool:
+    """Write `first`, then the rest of `texts`, each after `sep`, then `end`, from
+    this process and a forked child; False, with none of it written, where that cannot be.
+
+    It needs two CPUs, since on one the two processes could only take turns
+    on it, and a stdout encoding that writes ASCII as itself, since the
+    blocks are encoded apart. stdout is flushed, then forked: the child
+    inherits the terms already drawn, and from then on both processes draw
+    every term, cut the rows into the same blocks and take turns
+    (`_take_turns`), each writing every other block to fd 1. The child ends
+    in `os._exit`; its status, and the message it passes back if it fails,
+    tell the parent how it ended. The parent always reaps the child. A
+    failure of either process stops both: a broken stdout pipe raises
+    `BrokenPipeError` here, and any other is raised once, as the parent's
+    own exception or as a `CLIError` with the child's message.
+    """
+    if len(os.sched_getaffinity(0)) < 2 or "\n".encode(sys.stdout.encoding) != b"\n":
+        return False
+    sys.stdout.flush()
+    fds = []
+    try:
+        fds += os.pipe()  # parent to child
+        fds += os.pipe()  # child to parent
+        pid = os.fork()
+    except OSError:  # no pipe or process to spare: write serially
+        for fd in fds:
+            os.close(fd)
+        return False
+    from_parent, to_child, from_child, to_parent = fds
+    if pid == 0:
+        code, message = 2, ""
+        try:
+            os.close(to_child)
+            os.close(from_child)
+            try:  # exit 1 also when the parent stopped first: it reports why
+                code = 0 if _take_turns(1, first, texts, sep, end, from_parent, to_parent) is None else 1
+            except BrokenPipeError:
+                code = 1  # stdout's reader is gone: nothing to report
+            except MemoryError:
+                message = _OUT_OF_MEMORY.format("series")
+            except OSError as err:
+                message = f"write error: {err}"
+            except BaseException as err:  # reported by the parent; the child never returns
+                message = f"the second writer failed: {err!r}"
+            if message:
+                os.write(to_parent, message.encode()[:4096])
+        finally:
+            os._exit(code)
+    os.close(from_parent)
+    os.close(to_parent)
+    stopped = None
+    try:
+        stopped = _take_turns(0, first, texts, sep, end, from_child, to_child)
+    finally:
+        os.close(to_child)  # a child waiting for its turn reads EOF and ends
+        message = b""
+        while chunk := os.read(from_child, 4096):  # EOF once the child has ended
+            message += chunk
+        os.close(from_child)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if stopped is None and code == 0:
+        return True
+    message = (stopped or b"") + message
+    if message:
+        raise CLIError(message.decode(errors="replace"))
+    if code == 1:
+        raise BrokenPipeError  # the child found stdout's reader gone
+    raise CLIError(f"the second writer ended with exit status {code}")
+
+
+def _take_turns(mine: int, first: str, texts: _Rows, sep: str, end: str, inbox: int, outbox: int) -> bytes | None:
+    """Write the blocks k with k % 2 == mine of a split series; None once they are written.
+
+    Block 0 is `first`. The rest of the rows are cut into blocks once their
+    digit counts, plus the length of the form for each row, reach
+    `_SPLIT_BLOCK`, and the last block, which may hold no row, ends in `end`.
+    This process renders only its own rows, as it draws them. Each of its
+    blocks is encoded, then written once the token arrives on `inbox` (block
+    0 needs none), and the token is passed on `outbox` unless the block was
+    the last. If `inbox` holds anything else, the other process has stopped:
+    that is returned, the start of its message or b"" at EOF, and so is b""
+    if `outbox` is closed.
+    """
+    render = (sep + texts.form).format
+    width = len(texts.form)
+
+    def blocks() -> Iterator[tuple[int, str, bool]]:
+        if mine == 0:
+            yield 0, first, False
+        k, part, size = 1, [], 0
+        for row in texts.rows:
+            if k % 2 == mine:
+                part.append(render(*row))
+            size += row[1].adjusted() + width
+            if size >= _SPLIT_BLOCK:
+                if k % 2 == mine:
+                    yield k, "".join(part), False
+                k, part, size = k + 1, [], 0
+        if k % 2 == mine:
+            yield k, "".join(part) + end, True
+
+    for k, text, last in blocks():
+        data = memoryview(text.encode())
+        del text  # only the bytes are held while the other process writes
+        if k and (got := os.read(inbox, 1)) != _TOKEN:
+            return got
+        while data:
+            data = data[os.write(1, data):]
+        if not last:
+            try:
+                os.write(outbox, _TOKEN)
+            except BrokenPipeError:
+                return b""
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +411,9 @@ def _cmd_enumerate(args: Args) -> int:
 
 def _cmd_series(args: Args) -> int:
     # Exact decimals print in linear time where int-to-str is quadratic. The
-    # context never rounds: a term that would need it raises instead.
+    # context never rounds: a term that would need it raises instead. The
+    # rows render each value by str() (`!s`), about a tenth faster than the
+    # `format(value, "")` of a plain field, which makes the same digits.
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 
     from gapwords import intervals
@@ -270,10 +431,10 @@ def _cmd_series(args: Args) -> int:
                 "d1": args.d1,
                 "d2": args.d2,
                 "which": args.which,
-                "coefficients": (f'{{"n": {i}, "value": "{v}"}}' for i, v in rows),  # digits only
+                "coefficients": _Rows('{{"n": {}, "value": "{!s}"}}', rows),  # digits only
             },
             ["n", "value"], None,  # digit-only csv rows: the plain lines
-            (f"{i},{v}" for i, v in rows),
+            _Rows("{},{!s}", rows),
         )
 
 
@@ -580,15 +741,21 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         return COMMANDS[args.command][0](args)
     except CLIError as err:
-        print(f"gapwords: {err}", file=sys.stderr)
+        _report(str(err))
         return 2
     except MemoryError:
         pass  # reported below: in here the traceback still holds the memory the command filled
     finally:
         if saved_limit is not None:
             sys.set_int_max_str_digits(saved_limit)
-    print(f"gapwords: out of memory in {args.command}; try a smaller input", file=sys.stderr)
+    _report(_OUT_OF_MEMORY.format(args.command))
     return 2
+
+
+def _report(text: str) -> None:
+    """Print one `gapwords: ` line on stderr; nothing when the process has no stderr."""
+    if sys.stderr is not None:  # None when the process starts with fd 2 closed
+        print(f"gapwords: {text}", file=sys.stderr)
 
 
 def run() -> None:
@@ -599,17 +766,36 @@ def run() -> None:
     flushed, it calls `os._exit`, so the interpreter is not finalized; the
     output is already written, and tearing down every module would only cost
     time. A broken pipe on either stream, as when a reader closes stdout
-    early (`gapwords check | head`), exits 1 with nothing on stderr. Any other
-    exception propagates with its traceback. Code that embeds gapwords calls
-    `main()`.
+    early (`gapwords check | head`), exits 1 with nothing on stderr. Any
+    other failed write, as to a full disk, and a stdout closed at start exit
+    2 with one `gapwords: ` line. Any other exception propagates with its
+    traceback.
+
+    Since the process ends here, this is the one place that may fork: with
+    two CPUs or more, a `series` longer than one block is written by this
+    process and a child forked at the first block cut (`_write_split`). The
+    child never returns into `main()`, and is reaped before `main()` does.
+    Code that embeds gapwords calls `main()`, which never forks.
     """
+    global _may_split
+    _may_split = hasattr(os, "sched_getaffinity")
+    code = 2
     try:
-        code = main()
-        sys.stdout.flush()
-        if sys.stderr is not None:  # None when the process starts with fd 2 closed
+        if sys.stdout is None:  # the process started with fd 1 closed
+            _report("no stdout to write to")
+        else:
+            code = main()
+            sys.stdout.flush()
+        if sys.stderr is not None:
             sys.stderr.flush()
     except BrokenPipeError:
         code = 1  # what is still buffered is dropped: os._exit flushes nothing
+    except OSError as err:
+        code = 2
+        try:
+            _report(f"write error: {err}")
+        except OSError:
+            pass  # stderr failed too
     os._exit(code)
 
 

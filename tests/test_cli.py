@@ -8,10 +8,11 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from collections.abc import Iterator
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout, suppress
 from itertools import product
 from pathlib import Path
 
@@ -90,12 +91,38 @@ def cli_subprocess(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwar
     )
 
 
-def run_in_child(prelude, *argv, stderr=subprocess.PIPE):
+def run_in_child(prelude, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs):
     """Run `prelude`, then `cli.run()` on `argv`, in a child; its stdout is captured."""
     code = f"import sys; {prelude}; from gapwords import cli; cli.run()"
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=stderr, env=source_env(), timeout=60
+        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=stderr, env=source_env(), timeout=60, **kwargs
     )
+
+
+@contextmanager
+def own_session(proc):
+    """Yield `proc`, started with `start_new_session=True`; kill what is left of its session on the way out."""
+    try:
+        yield proc
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def assert_no_process_left(proc):
+    """No process is left in the session of `proc` once it has ended."""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+# A prelude that says on stderr when `cli.run()` forks.
+SAY_FORK = "import os; fork = os.fork; os.fork = lambda: print('fork', file=sys.stderr, flush=True) or fork()"
+
+
+def one_cpu():
+    """A preexec_fn that pins the child to one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 # The gap-item grammar as a regex; `\d` is Unicode category Nd, as str.isdecimal() tests.
@@ -927,13 +954,12 @@ class TestEntryPoint:
         # `gapwords series ... | head -c N`, after the first row: the series
         # runs to about 1.5 MB, far past a pipe's buffer, so the child is
         # still writing when the reader goes away.
-        proc = cli_subprocess("series", "--d1", "2", "--d2", "4", "--count", "5000", "--which", "a", "--format", fmt)
-        assert proc.stdout.read(len(head)) == head
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 1
-        assert err == b""
+        argv = series_argv("a", 5000, fmt)
+        with own_session(cli_subprocess(*argv, start_new_session=True)) as proc:
+            assert proc.stdout.read(len(head)) == head
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_series_to_a_file_equals_main(self, capsys, tmp_path, fmt):
@@ -974,11 +1000,121 @@ class TestEntryPoint:
         proc = run_in_child(hook, "count", "--n", "6", "--gaps", "2-5")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"20\n", b"")
 
+    @pytest.mark.parametrize(
+        "argv", [("count", "--n", "3", "--gaps", "1"), series_argv("a", 30000, "plain", 2, 3)], ids=["count", "series"]
+    )
+    def test_full_disk_is_one_line(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = cli_subprocess(*argv, stdout=full, preexec_fn=one_cpu)
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, b"gapwords: write error: [Errno 28] No space left on device\n")
+
+    def test_closed_stdout_at_start_is_one_line(self):
+        proc = cli_subprocess("count", "--n", "3", "--gaps", "1", stdout=None, preexec_fn=lambda: os.close(1))
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, b"gapwords: no stdout to write to\n")
+
+    def test_diagnostic_with_fd_2_closed_goes_nowhere(self):
+        # not to stdout, where print() sends text when its file is None
+        proc = cli_subprocess("count", "--n", "x", "--gaps", "1", preexec_fn=lambda: os.close(2))
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, b"")
+
     def test_closed_fd_2_at_start_is_no_error(self):
         # With fd 2 closed, sys.stderr is None; the run still flushes stdout and exits 0.
         proc = cli_subprocess("count", "--n", "6", "--gaps", "2-5", preexec_fn=lambda: os.close(2))
         out, _ = proc.communicate(timeout=60)
         assert (proc.returncode, out) == (0, b"20\n")
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="a series is split only on two CPUs or more"
+)
+class TestSplitSeries:
+    """`run()` writes a series longer than one block from two processes."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("which", ["a", "K"])
+    def test_split_output_equals_main(self, capsys, which, fmt):
+        cut = block_cuts(which, fmt)[0]
+        cases = [series_argv(which, count, fmt) for count in (cut - 1, cut, cut + 1)]
+        for argv in [*cases, series_argv(which, 20000, fmt, 3, 5)]:
+            proc = cli_subprocess(*argv)
+            out, err = proc.communicate(timeout=120)
+            code, expected, _ = run_cli(capsys, *argv)
+            assert (proc.returncode, err, code) == (0, b"", 0), argv
+            assert_same_text(out.decode(), expected)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_forks_at_the_first_cut(self, capsys, fmt):
+        cut = block_cuts("K", fmt)[0]
+        for count, says in ((cut - 1, b""), (cut, b"fork\n")):
+            argv = series_argv("K", count, fmt)
+            proc = run_in_child(SAY_FORK, *argv)
+            assert (proc.returncode, proc.stderr) == (0, says)
+            assert proc.stdout.decode() == run_cli(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_one_cpu_writes_the_same_bytes_without_a_fork(self, capsys, fmt):
+        argv = series_argv("K", 20000, fmt, 3, 5)
+        proc = cli_subprocess(*argv, preexec_fn=one_cpu)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert_same_text(out.decode(), run_cli(capsys, *argv)[1])
+        assert run_in_child(SAY_FORK, *series_argv("K", 3000, fmt), preexec_fn=one_cpu).stderr == b""
+
+    def test_stdout_encoding_unlike_ascii_is_not_split(self, capsys):
+        # blocks encoded apart would each start with a byte order mark
+        argv = series_argv("K", 3000, "plain")
+        proc = run_in_child(SAY_FORK + "; sys.stdout.reconfigure(encoding='utf-16')", *argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode("utf-16") == run_cli(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("size", [4, 1 << 20], ids=["first-row", "1MB"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_reader_closing_early_leaves_no_process(self, fmt, size):
+        with own_session(cli_subprocess(*series_argv("K", 20000, fmt, 3, 5), start_new_session=True)) as proc:
+            assert len(proc.stdout.read(size)) == size
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (1, b"")
+            assert_no_process_left(proc)
+
+    def test_full_disk_is_one_line_from_the_parent(self):
+        # plain output has nothing buffered at the first cut, so the fork comes before the first failed write
+        with open("/dev/full", "wb") as full:
+            proc = run_in_child(SAY_FORK, *series_argv("a", 30000, "plain", 2, 3), stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == b"fork\ngapwords: write error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("writer", ["parent", "child"])
+    def test_failed_write_of_either_process_is_one_line(self, capsys, tmp_path, writer):
+        # A file size limit fails the write of block 0 (the parent's) or block 1 (the child's).
+        resource = pytest.importorskip("resource")
+        argv = series_argv("a", 20000, "plain", 3, 5)
+        expected = run_cli(capsys, *argv)[1].encode()
+        first = len(b"\n".join(expected.split(b"\n")[:block_cuts("a", "plain", 3, 5)[0]]))
+        limit = first // 2 if writer == "parent" else first + 100
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        path = tmp_path / "out"
+        with open(path, "wb") as out:
+            proc = cli_subprocess(*argv, stdout=out, preexec_fn=limit_file_size, start_new_session=True)
+            with own_session(proc):
+                _, err = proc.communicate(timeout=120)
+                assert (proc.returncode, err) == (2, b"gapwords: write error: [Errno 27] File too large\n")
+                assert_no_process_left(proc)
+        assert path.read_bytes() == expected[:limit]
+
+    def test_main_never_forks(self, capsys, monkeypatch):
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("main() forked"))
+        argv = series_argv("K", 20000, "json", 3, 5)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, forks) == (0, "", [])
+        assert json.loads(out)["coefficients"][-1]["n"] == 20000
 
 
 def build_parser() -> argparse.ArgumentParser:
