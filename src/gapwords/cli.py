@@ -13,9 +13,9 @@ here, and `run()` ends the process once its output is flushed, without
 finalizing the interpreter.
 
 Only `run()`, which owns the process, may fork: on two CPUs or more, a
-`series` longer than one block is written by the process and one forked
-child, which render and write alternate blocks (`_write_split`). `main()`,
-which tests and embedding code call, writes every block itself.
+forked child renders every other block of a `series` longer than one block,
+and the process writes them all (`_write_split`). `main()`, which tests and
+embedding code call, renders every block itself.
 """
 
 from __future__ import annotations
@@ -37,21 +37,17 @@ METHODS = ("matrix", "recurrence", "super-d", "single-gap", "prefix", "formula-1
 # 8,192-byte buffer. Blocks of 8,192 wrote a 20,000-term series about 4%
 # faster, but raised its peak RSS by 0.13 MB more (of about 14 MB).
 # A series split between two processes (`_write_split`) goes on in blocks
-# of about `_SPLIT_BLOCK` characters, cut by digit counts before rendering;
-# each process holds one rendered block and its bytes. On a 2-core machine
-# the split raised the peak RSS of a 20,000-term series by 0.1-0.3 MB with
-# blocks of 8,192 or 16,384 characters, and by about 0.1 MB more with
-# 24,576; blocks of 8,192 pass the token twice as often, and wrote the
-# series up to 7 ms slower than blocks of 16,384.
+# of about `_SPLIT_BLOCK` characters, cut by digit counts before rendering.
+# On a 2-core machine, when both processes wrote stdout in turns, the split
+# raised the peak RSS of a 20,000-term series by 0.1-0.3 MB with blocks of
+# 8,192 or 16,384 characters, and by about 0.1 MB more with 24,576; blocks
+# of 8,192, twice as many hand-overs, wrote it up to 7 ms slower than 16,384.
 _BLOCK = 4096
 _SPLIT_BLOCK = 16384
 
 # Set by `run()`, which ends the process: only there may a series be split
 # between two processes.
 _may_split = False
-
-# Passed between the two writers of a split series: the next block is yours.
-_TOKEN = b"\0"
 
 _OUT_OF_MEMORY = "out of memory in {}; try a smaller input"
 
@@ -211,119 +207,92 @@ class _Rows(starmap):
 
 
 def _write_split(first: str, texts: _Rows, sep: str, end: str) -> bool:
-    """Write `first`, then the rest of `texts`, each after `sep`, then `end`, from
-    this process and a forked child; False, with none of it written, where that cannot be.
+    """Write `first`, then the rest of `texts`, each after `sep`, then `end`, with a
+    forked child rendering half of it; False, with none of it written, where that cannot be.
 
-    It needs two CPUs, since on one the two processes could only take turns
-    on it, and a stdout encoding that writes ASCII as itself, since the
-    blocks are encoded apart. stdout is flushed, then forked: the child
-    inherits the terms already drawn, and from then on both processes draw
-    every term, cut the rows into the same blocks and take turns
-    (`_take_turns`), each writing every other block to fd 1. The child ends
-    in `os._exit`; its status, and the message it passes back if it fails,
-    tell the parent how it ended. The parent always reaps the child. A
-    failure of either process stops both: a broken stdout pipe raises
-    `BrokenPipeError` here, and any other is raised once, as the parent's
-    own exception or as a `CLIError` with the child's message.
+    It needs two CPUs, since on one the two processes could only take turns,
+    and a stdout encoding that writes ASCII as itself, since the blocks are
+    encoded apart. stdout is flushed, then forked: the child inherits the
+    terms already drawn, and from then on both processes draw every term and
+    cut the rows into the same blocks (`_blocks`). The child renders the odd
+    blocks and sends each over a pipe as a frame, its length in 8 signed
+    bytes, then its bytes; a negative length marks its out-of-memory line
+    instead. This process renders the even blocks and writes every block to
+    fd 1 in order. That line, or EOF where a frame is due, raises `CLIError`;
+    a failure here closes the pipe, so the child fails at its next frame.
+    The child ends in `os._exit`, and is always reaped.
     """
     if len(os.sched_getaffinity(0)) < 2 or "\n".encode(sys.stdout.encoding) != b"\n":
         return False
     sys.stdout.flush()
     fds = []
     try:
-        fds += os.pipe()  # parent to child
-        fds += os.pipe()  # child to parent
+        fds += os.pipe()
         pid = os.fork()
     except OSError:  # no pipe or process to spare: write serially
         for fd in fds:
             os.close(fd)
         return False
-    from_parent, to_child, from_child, to_parent = fds
+    inbox, outbox = fds
     if pid == 0:
-        code, message = 2, ""
         try:
-            os.close(to_child)
-            os.close(from_child)
-            try:  # exit 1 also when the parent stopped first: it reports why
-                code = 0 if _take_turns(1, first, texts, sep, end, from_parent, to_parent) is None else 1
-            except BrokenPipeError:
-                code = 1  # stdout's reader is gone: nothing to report
+            os.close(inbox)
+            try:
+                for text in _blocks(1, first, texts, sep, end):
+                    if text is not None:
+                        data = text.encode()
+                        _write_all(outbox, len(data).to_bytes(8, "big", signed=True) + data)
             except MemoryError:
-                message = _OUT_OF_MEMORY.format("series")
-            except OSError as err:
-                message = f"write error: {err}"
-            except BaseException as err:  # reported by the parent; the child never returns
-                message = f"the second writer failed: {err!r}"
-            if message:
-                os.write(to_parent, message.encode()[:4096])
+                data = _OUT_OF_MEMORY.format("series").encode()
+                _write_all(outbox, (-len(data)).to_bytes(8, "big", signed=True) + data)
         finally:
-            os._exit(code)
-    os.close(from_parent)
-    os.close(to_parent)
-    stopped = None
+            os._exit(0)  # on any other failure too: the parent finds the frames end early
+    os.close(outbox)
     try:
-        stopped = _take_turns(0, first, texts, sep, end, from_child, to_child)
+        with open(inbox, "rb") as frames:  # its read(n) waits for n bytes, or EOF
+            for text in _blocks(0, first, texts, sep, end):
+                if text is not None:
+                    _write_all(1, text.encode())
+                    continue
+                head = frames.read(8)  # the child's block
+                size = int.from_bytes(head, "big", signed=True)
+                data = frames.read(abs(size))
+                if len(head) < 8 or len(data) < abs(size):
+                    raise CLIError("the child rendering the series ended early")
+                if size < 0:
+                    raise CLIError(data.decode(errors="replace"))
+                _write_all(1, data)
     finally:
-        os.close(to_child)  # a child waiting for its turn reads EOF and ends
-        message = b""
-        while chunk := os.read(from_child, 4096):  # EOF once the child has ended
-            message += chunk
-        os.close(from_child)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if stopped is None and code == 0:
-        return True
-    message = (stopped or b"") + message
-    if message:
-        raise CLIError(message.decode(errors="replace"))
-    if code == 1:
-        raise BrokenPipeError  # the child found stdout's reader gone
-    raise CLIError(f"the second writer ended with exit status {code}")
+        os.waitpid(pid, 0)
+    return True
 
 
-def _take_turns(mine: int, first: str, texts: _Rows, sep: str, end: str, inbox: int, outbox: int) -> bytes | None:
-    """Write the blocks k with k % 2 == mine of a split series; None once they are written.
+def _blocks(mine: int, first: str, texts: _Rows, sep: str, end: str) -> Iterator[str | None]:
+    """Each block k of a split series in order: its text if k % 2 == mine, else None.
 
     Block 0 is `first`. The rest of the rows are cut into blocks once their
     digit counts, plus the length of the form for each row, reach
     `_SPLIT_BLOCK`, and the last block, which may hold no row, ends in `end`.
-    This process renders only its own rows, as it draws them. Each of its
-    blocks is encoded, then written once the token arrives on `inbox` (block
-    0 needs none), and the token is passed on `outbox` unless the block was
-    the last. If `inbox` holds anything else, the other process has stopped:
-    that is returned, the start of its message or b"" at EOF, and so is b""
-    if `outbox` is closed.
+    Every row is drawn, but only those of the blocks k % 2 == mine are rendered.
     """
     render = (sep + texts.form).format
     width = len(texts.form)
-
-    def blocks() -> Iterator[tuple[int, str, bool]]:
-        if mine == 0:
-            yield 0, first, False
-        k, part, size = 1, [], 0
-        for row in texts.rows:
-            if k % 2 == mine:
-                part.append(render(*row))
-            size += row[1].adjusted() + width
-            if size >= _SPLIT_BLOCK:
-                if k % 2 == mine:
-                    yield k, "".join(part), False
-                k, part, size = k + 1, [], 0
+    yield first if mine == 0 else None
+    k, part, size = 1, [], 0
+    for row in texts.rows:
         if k % 2 == mine:
-            yield k, "".join(part) + end, True
+            part.append(render(*row))
+        size += row[1].adjusted() + width
+        if size >= _SPLIT_BLOCK:
+            yield "".join(part) if k % 2 == mine else None
+            k, part, size = k + 1, [], 0
+    yield "".join(part) + end if k % 2 == mine else None
 
-    for k, text, last in blocks():
-        data = memoryview(text.encode())
-        del text  # only the bytes are held while the other process writes
-        if k and (got := os.read(inbox, 1)) != _TOKEN:
-            return got
-        while data:
-            data = data[os.write(1, data):]
-        if not last:
-            try:
-                os.write(outbox, _TOKEN)
-            except BrokenPipeError:
-                return b""
-    return None
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +741,11 @@ def run() -> None:
     traceback.
 
     Since the process ends here, this is the one place that may fork: with
-    two CPUs or more, a `series` longer than one block is written by this
-    process and a child forked at the first block cut (`_write_split`). The
-    child never returns into `main()`, and is reaped before `main()` does.
-    Code that embeds gapwords calls `main()`, which never forks.
+    two CPUs or more, a child forked at the first block cut of a `series`
+    renders every other block for this process to write (`_write_split`).
+    The child never writes stdout, never returns into `main()`, and is
+    reaped before `main()` returns. Code that embeds gapwords calls
+    `main()`, which never forks.
     """
     global _may_split
     _may_split = hasattr(os, "sched_getaffinity")

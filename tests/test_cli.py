@@ -99,6 +99,15 @@ def run_in_child(prelude, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
 
 
+def start_in_child(prelude, *argv):
+    """`run_in_child` in a new session, started and not waited for; stdout and stderr are pipes."""
+    code = f"import sys; {prelude}; from gapwords import cli; cli.run()"
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(), start_new_session=True,
+    )
+
+
 @contextmanager
 def own_session(proc):
     """Yield `proc`, started with `start_new_session=True`; kill what is left of its session on the way out."""
@@ -118,6 +127,11 @@ def assert_no_process_left(proc):
 
 # A prelude that says on stderr when `cli.run()` forks.
 SAY_FORK = "import os; fork = os.fork; os.fork = lambda: print('fork', file=sys.stderr, flush=True) or fork()"
+
+
+def in_forked_child(action):
+    """A prelude after which the child of each `os.fork` runs `action`, an expression, first."""
+    return f"import os; fork_first = os.fork; os.fork = lambda: fork_first() or ({action}) or 0"
 
 
 def one_cpu():
@@ -952,7 +966,7 @@ class TestEntryPoint:
     )
     def test_reader_closing_early_is_quiet(self, fmt, head):
         # `gapwords series ... | head -c N`, after the first row: the series
-        # runs to about 1.5 MB, far past a pipe's buffer, so the child is
+        # runs to about 1.5 MB, far past a pipe's buffer, so the process is
         # still writing when the reader goes away.
         argv = series_argv("a", 5000, fmt)
         with own_session(cli_subprocess(*argv, start_new_session=True)) as proc:
@@ -1031,7 +1045,7 @@ class TestEntryPoint:
     len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="a series is split only on two CPUs or more"
 )
 class TestSplitSeries:
-    """`run()` writes a series longer than one block from two processes."""
+    """`run()` renders a series longer than one block in two processes, and writes it from one."""
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("which", ["a", "K"])
@@ -1089,7 +1103,8 @@ class TestSplitSeries:
 
     @pytest.mark.parametrize("writer", ["parent", "child"])
     def test_failed_write_of_either_process_is_one_line(self, capsys, tmp_path, writer):
-        # A file size limit fails the write of block 0 (the parent's) or block 1 (the child's).
+        # A file size limit fails the write of block 0, which the parent renders, or of
+        # block 1, which the child renders; the parent writes both, and the ids name the renderer.
         resource = pytest.importorskip("resource")
         argv = series_argv("a", 20000, "plain", 3, 5)
         expected = run_cli(capsys, *argv)[1].encode()
@@ -1107,6 +1122,33 @@ class TestSplitSeries:
                 assert (proc.returncode, err) == (2, b"gapwords: write error: [Errno 27] File too large\n")
                 assert_no_process_left(proc)
         assert path.read_bytes() == expected[:limit]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_child_never_writes_stdout(self, capsys, fmt):
+        argv = series_argv("K", 20000, fmt, 3, 5)
+        proc = run_in_child(SAY_FORK + "; " + in_forked_child("os.close(1)"), *argv)
+        assert (proc.returncode, proc.stderr) == (0, b"fork\n")
+        assert_same_text(proc.stdout.decode(), run_cli(capsys, *argv)[1])
+
+    def test_failure_of_the_child_is_its_one_line(self, capsys):
+        # the child runs out of memory as it starts rendering; the parent has written block 0
+        fail = "setattr(sys.modules['gapwords.cli'], '_blocks', lambda *args: exec('raise MemoryError'))"
+        argv = series_argv("a", 20000, "plain", 3, 5)
+        with own_session(start_in_child(in_forked_child(fail), *argv)) as proc:
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (2, b"gapwords: out of memory in series; try a smaller input\n")
+            assert_no_process_left(proc)
+        expected = run_cli(capsys, *argv)[1].encode()
+        assert out == expected[:len(out)] and 0 < len(out) < len(expected)
+
+    def test_vanished_child_is_one_line(self, capsys):
+        argv = series_argv("a", 20000, "plain", 3, 5)
+        with own_session(start_in_child(in_forked_child("os._exit(0)"), *argv)) as proc:
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 2
+            assert err.startswith(b"gapwords: ") and err.count(b"\n") == 1, err
+            assert_no_process_left(proc)
+        assert run_cli(capsys, *argv)[1].encode().startswith(out)
 
     def test_main_never_forks(self, capsys, monkeypatch):
         forks = []
