@@ -2,9 +2,10 @@
 
 `parse_args` reads argv as argparse would against one table, `COMMANDS`,
 which also gives the -h text. A usage error is one `gapwords: ...` line on
-stderr and exit code 2, like every other diagnostic. Results print through
-one writer, `_write`. Values past 64 bits are decimal strings in JSON and
-CSV, so they read back exactly.
+stderr and exit code 2, like every other diagnostic. `count`, `enumerate`
+and `series` print through one writer, `_write`; `check` and `dot` print
+line by line. Values past 64 bits are decimal strings in JSON and CSV, so
+they read back exactly.
 
 Most runs are one short command, so start-up and exit are most of their
 time: a module that only some commands need (json, csv, decimal, random,
@@ -50,12 +51,6 @@ _SPLIT_BLOCK = 16384
 _may_split = False
 
 _OUT_OF_MEMORY = "out of memory in {}; try a smaller input"
-
-# Python 3.10 builds before 3.10.7 have no int-to-str digit limit.
-_HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
-
-# Before Python 3.11, `csv.writer` cannot write NUL without an escapechar.
-_CSV_WRITES_NUL = sys.version_info >= (3, 11)
 
 
 class CLIError(Exception):
@@ -354,8 +349,6 @@ def _cmd_enumerate(args: Args) -> int:
     except ValueError as err:
         raise CLIError(str(err)) from err
     gs = parse_gap_spec(args.gaps, len(word))
-    if args.format == "csv" and "\0" in word.text and not _CSV_WRITES_NUL:
-        raise CLIError("csv output of a word holding NUL needs Python 3.11 or later")
     # Sorted text batches, written as they come; `end` only separates their lines.
     count, end, blocks = latin.subword_text(word, gs, dedup=args.dedup, singles=args.include_single)
 
@@ -513,7 +506,7 @@ def _cmd_check(args: Args) -> int:
                 ok = bound >= exact
                 failures += 0 if ok else 1
                 status = "PASS" if ok else "FAIL"
-                print(f"bound({n},{d1},{d2})={bound} ≥ exact {exact}: {status}")
+                print(f"bound({n},{d1},{d2})={bound} >= exact {exact}: {status}")
 
     for n in range(1, args.n_max + 1):
         for d in range(2, args.d_max + 1):
@@ -701,22 +694,23 @@ def main(argv: list[str] | None = None) -> int:
     # Exact counts outgrow CPython's 4,300-digit int-to-str limit (gaps 2-4
     # reach 4,981 digits at n=30,000). Lift it while the command runs, once
     # the numeric options are read under the default limit.
-    saved_limit = sys.get_int_max_str_digits() if _HAS_DIGIT_LIMIT else None
+    saved_limit = sys.get_int_max_str_digits()
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
             return 0  # the help is printed
-        if saved_limit is not None:
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         return COMMANDS[args.command][0](args)
     except CLIError as err:
         _report(str(err))
         return 2
+    except UnicodeEncodeError as err:  # a letter stdout's encoding has no bytes for
+        _report(f"stdout's encoding {err.encoding} cannot write {err.object[err.start]!r}")
+        return 2
     except MemoryError:
         pass  # reported below: in here the traceback still holds the memory the command filled
     finally:
-        if saved_limit is not None:
-            sys.set_int_max_str_digits(saved_limit)
+        sys.set_int_max_str_digits(saved_limit)
     _report(_OUT_OF_MEMORY.format(args.command))
     return 2
 

@@ -35,9 +35,6 @@ def run_cli(capsys, *argv):
 @pytest.fixture
 def no_digit_limit():
     """Lift the int-to-str digit limit, so expected values print at any size."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -376,13 +373,40 @@ class TestCount:
 
     def test_result_past_int_str_digit_limit(self, capsys):
         # 4,981 digits, above CPython's default 4,300-digit limit
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        limit = sys.get_int_max_str_digits()
         code, out, err = run_cli(
             capsys, "count", "--n", "30000", "--gaps", "2-4", "--method", "recurrence"
         )
         assert code == 0 and err == ""
         assert len(out.strip()) == 4981
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize(
+        "failure, argv",
+        [
+            ("diagnostic", ["count", "--n", "5", "--gaps", "0-3"]),  # a CLIError from the command
+            ("out-of-memory", ["count", "--n", "5", "--gaps", "1"]),
+            ("encoding", ["enumerate", "--word", "aéb", "--gaps", "1"]),  # stdout below is ASCII
+        ],
+        ids=["diagnostic", "out-of-memory", "encoding"],
+    )
+    def test_digit_limit_restored_after_a_failure(self, monkeypatch, failure, argv):
+        def out_of_memory(args):
+            assert sys.get_int_max_str_digits() == 0  # lifted before the command runs
+            raise MemoryError
+
+        if failure == "out-of-memory":
+            monkeypatch.setitem(COMMANDS, "count", (out_of_memory, *COMMANDS["count"][1:]))
+        limit = sys.get_int_max_str_digits()
+        err = io.StringIO()
+        with redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="ascii")), redirect_stderr(err):
+            try:
+                code = main(argv)
+            finally:
+                after = sys.get_int_max_str_digits()
+                sys.set_int_max_str_digits(limit)
+        assert (code, after) == (2, limit)
+        assert err.getvalue().startswith("gapwords: ") and err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -450,20 +474,14 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--word", "", "--gaps", "1")
         assert code != 0 and "nonempty" in err
 
-    def test_csv_of_a_word_holding_nul(self, capsys, monkeypatch):
-        # Before 3.11, csv.writer cannot write NUL: such a word is refused
-        # before any row. From 3.11 on, the rows are csv.writer's.
+    def test_csv_of_a_word_holding_nul(self, capsys):
+        # the rows are csv.writer's
         argv = ("enumerate", "--word", "a\0b", "--gaps", "1-n-1", "--format")
-        if sys.version_info >= (3, 11):
-            listing = run_cli(capsys, *argv, "plain")[1].split("\n")[:-2]  # without the count line
-            expected = io.StringIO()
-            csv.writer(expected).writerows([["subword"], *([s] for s in listing)])
-            assert run_cli(capsys, *argv, "csv") == (0, expected.getvalue(), "")
-            assert "\0" in expected.getvalue()
-            monkeypatch.setattr(cli, "_CSV_WRITES_NUL", False)
-        code, out, err = run_cli(capsys, *argv, "csv")
-        assert (code, out) == (2, "")
-        assert err.startswith("gapwords: ") and err.count("\n") == 1
+        listing = run_cli(capsys, *argv, "plain")[1].split("\n")[:-2]  # without the count line
+        expected = io.StringIO()
+        csv.writer(expected).writerows([["subword"], *([s] for s in listing)])
+        assert run_cli(capsys, *argv, "csv") == (0, expected.getvalue(), "")
+        assert "\0" in expected.getvalue()
 
     def test_json_listing_in_bounded_memory(self):
         # 20 letters with every gap: about 1M subwords and 16 MB of json,
@@ -799,7 +817,7 @@ class TestCheck:
     def test_bound_line_present(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--n-max", "7")
         assert code == 0
-        assert "bound(7,2,3)=27 ≥ exact 25: PASS" in out
+        assert "bound(7,2,3)=27 >= exact 25: PASS" in out
         assert "FAIL" not in out
 
     def test_correspondence_line(self, capsys):
@@ -1034,6 +1052,29 @@ class TestEntryPoint:
         out, _ = proc.communicate(timeout=60)
         assert (proc.returncode, out) == (2, b"")
 
+    @pytest.mark.parametrize(
+        "encoding, argv, code",
+        [
+            ("ascii", ["check", "--n-max", "3"], 0),
+            ("ascii", ["enumerate", "--word", "aéb", "--gaps", "1"], 2),
+            ("ascii", ["enumerate", "--word", "aéb", "--gaps", "1", "--format", "csv"], 2),
+            ("ascii", ["enumerate", "--word", "aéb", "--gaps", "1", "--format", "json"], 0),  # json escapes é
+            ("utf-8", ["enumerate", "--word", b"a\xffb", "--gaps", "1"], 2),  # \xff decodes to a surrogate
+        ],
+        ids=["check", "plain", "csv", "json", "undecodable-argv"],
+    )
+    def test_letter_stdout_cannot_encode_is_one_line(self, encoding, argv, code):
+        env = dict(source_env(), PYTHONIOENCODING=encoding)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapwords.cli", *argv], capture_output=True, env=env, timeout=60
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == b"" and proc.stdout.isascii()
+        else:
+            line = f"gapwords: stdout's encoding {encoding} cannot write ".encode()
+            assert proc.stderr.startswith(line) and proc.stderr.count(b"\n") == 1
+
     def test_closed_fd_2_at_start_is_no_error(self):
         # With fd 2 closed, sys.stderr is None; the run still flushes stdout and exits 0.
         proc = cli_subprocess("count", "--n", "6", "--gaps", "2-5", preexec_fn=lambda: os.close(2))
@@ -1196,8 +1237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 FLAGS = sorted({"--" + dest.replace("_", "-") for _, _, options in COMMANDS.values() for dest in options})
 # Each of these asks for help wherever it stands. argparse reads `-h` followed
-# by other letters by version (3.13 takes -hx as -h and an unknown -x; 3.10-3.12
-# refuse it), and `parse_args` reads it as 3.10-3.12 do; so no other token
+# by other letters by version (3.13 takes -hx as -h and an unknown -x; 3.11-3.12
+# refuse it), and `parse_args` reads it as 3.11-3.12 do; so no other token
 # starting with -h is drawn below.
 HELP_FORMS = ("-h", "--help", "--h", "--he", "--hel", "-hh")
 OPTION_VALUES = (
