@@ -1,12 +1,12 @@
 """Every nontrivial gap-constrained subword: one listing walk and the set-valued Warshall pass.
 
-`subword_text` lists the subwords of any word from a depth-first walk over
-them, children in letter order, so the listing comes out sorted, a batch of
-text at a time, with no global sort; `nontrivial_subwords` splits it. A
-subword's state is the set of positions where its spellings end, kept per
-start position (their union with dedup), so a string is listed once per
-(start, end) pair, or once. The set-valued Warshall pass stays as the paper
-artefact and the reference that `check` and the tests compare against.
+`subword_text` lists the distinct subwords of any word from a depth-first
+walk over them, children in letter order, so the listing comes out sorted, a
+batch of text at a time, with no global sort; `nontrivial_subwords` splits
+it. A subword's state is the set of positions where its spellings end, so
+each string is listed once. The set-valued Warshall pass stays as the paper
+artefact and the reference that `check` and the tests compare against; its
+cells hold a string once per (start, end) pair that spells it.
 
 In that pass, cell (i, j) holds the actual subwords that start at position
 i and end at position j (always length >= 2). It is `counting.warshall`, the
@@ -59,83 +59,73 @@ def subword_text(
 ) -> tuple[int, str, Iterator[str]]:
     """The number of subwords, a line end, and nonempty sorted batches of lines joined by it.
 
-    Without `singles` the lines are `nontrivial_subwords(word, gaps, dedup)`;
-    with it, the length-1 subwords are merged in, one per letter position (one
-    per letter with `dedup`). The number is known before the first batch. The
-    line end is "\n", or for a word that contains "\n", the first character
-    the word lacks; the batches joined by it are the whole listing.
+    Without `singles` the lines are `nontrivial_subwords(word, gaps)`; with
+    it, each letter of the word is merged in once. The number is known before
+    the first batch. The line end is "\n", or for a word that contains "\n",
+    the first character the word lacks; the batches joined by it are the
+    whole listing. `dedup` is accepted and has no effect: every listing holds
+    each string once.
 
     The batches come lazily, first letter by first letter in letter order,
     from a walk over the subwords, each followed by those that extend it by
-    one gap, in letter order of their new last letter. A subword's state
-    holds, for each start position that spells it, the bitmask of its end
-    positions (with `dedup`, their union); it is listed once per (start, end)
-    pair, or once. Each state's children and total are worked out once, before
-    the first batch: one state per position on a rainbow word, many more on a
-    long irregular one. Only a few subwords are held at a time.
+    one gap, in letter order of their new last letter. A subword's state is
+    the bitmask of the positions where its spellings end. Each state's
+    children and total are worked out once, before the first batch: one
+    state per position on a rainbow word, many more on a long irregular one.
+    Only a few subwords are held at a time.
     """
     text = as_word(word).text
     n = len(text)
     end = "\n" if "\n" not in text else min({*map(chr, range(n + 1))} - {*text})
     steps = list(GapSet.of(gaps).below(n))
-    starts: dict[str, list[int]] = {}  # the positions of each letter, as bits
+    at: dict[str, int] = {}  # the positions of each letter, as bits
     for i, c in enumerate(text):
-        starts.setdefault(c, []).append(1 << i)
-    at = {c: sum(bits) for c, bits in starts.items()}
+        at[c] = at.get(c, 0) | 1 << i
     letters = sorted(at)
-    roots = [(c, (at[c],) if dedup else tuple(starts[c])) for c in letters]
 
-    def weight(state: tuple[int, ...]) -> int:
-        return 1 if dedup else sum(map(int.bit_count, state))
-
-    # kids[state]: (letter, child state, its weight) in letter order;
+    # kids[state]: (letter, child state) in letter order;
     # total[state]: the lines it writes, with those of all its extensions
-    kids: dict[tuple[int, ...], list] = {}
-    total: dict[tuple[int, ...], int] = {}
-    todo = [state for _, state in roots]
+    kids: dict[int, list[tuple[str, int]]] = {}
+    total: dict[int, int] = {}
+    todo = [at[c] for c in letters]
     while todo:
         state = todo[-1]
         if state in kids:
-            total[todo.pop()] = weight(state) + sum(total[child] for _, child, _ in kids[state])
+            total[todo.pop()] = 1 + sum(total[child] for _, child in kids[state])
             continue
-        reach = [reduce(or_, [m << g for g in steps], 0) for m in state]
-        kids[state] = found = []
-        for c in letters:
-            child = tuple(filter(None, [r & at[c] for r in reach]))
-            if child:
-                found.append((c, child, weight(child)))
-        todo += [child for _, child, _ in found if child not in kids]
+        reach = reduce(or_, [state << g for g in steps], 0)
+        kids[state] = found = [(c, child) for c in letters if (child := reach & at[c])]
+        todo += [child for _, child in found if child not in kids]
     # States keep their sorted runs, smallest total first, as long as all of
     # them together hold at most `budget` subwords. A run is one text block,
     # the lines that follow the state's last letter joined by `end`; the walk
     # writes it under each prefix that reaches the state with one replace.
     budget = _BUDGET
-    runs: dict[tuple[int, ...], str] = {}
+    runs: dict[int, str] = {}
     held = 0
     for state in sorted(total, key=total.__getitem__):
         held += total[state]
         if held > budget:
             break
-        parts = [""] * weight(state) + [c + runs[child].replace(end, end + c) for c, child, _ in kids[state]]
-        runs[state] = end.join(parts)
+        runs[state] = end.join(["", *(c + runs[child].replace(end, end + c) for c, child in kids[state])])
 
     def batches() -> Iterator[str]:
-        for c, root in roots:
-            out = [c] * weight(root) if singles else []
+        for c in letters:
+            out = [c] if singles else []
             lines = len(out)
             # Depth first, with each prefix beside the kids it has yet to visit.
-            stack = [(c, iter(kids[root]))]
+            stack = [(c, iter(kids[at[c]]))]
             while stack:
                 prefix, rest = stack[-1]
-                for letter, child, w in rest:
+                for letter, child in rest:
                     longer = prefix + letter
                     run = runs.get(child)
                     if run is not None:
                         out.append(longer + run.replace(end, end + longer))
                         lines += total[child]
                     else:
-                        out += [longer] * w
-                        lines += w
+                        out.append(longer)
+                        lines += 1
                         stack.append((longer, iter(kids[child])))
                         break
                 else:
@@ -146,16 +136,14 @@ def subword_text(
             if out:
                 yield end.join(out)
 
-    return sum(total[root] - (0 if singles else weight(root)) for _, root in roots), end, batches()
+    return sum(total[at[c]] for c in letters) - (0 if singles else len(letters)), end, batches()
 
 
 def nontrivial_subwords(word: Word | str, gaps: GapSet | Iterable[int], dedup: bool = False) -> list[str]:
-    """Every subword of length >= 2, sorted lexicographically.
+    """Every distinct subword of length >= 2, sorted lexicographically; `dedup` has no effect.
 
-    On a non-rainbow word the same string can be spelled from several
-    (start, end) position pairs, the cells of the Warshall pass; without
-    dedup it is listed once per pair, with dedup once. Rainbow words are
-    unaffected by the flag.
+    On a non-rainbow word a string spelled from several (start, end) position
+    pairs, several cells of the Warshall pass, is listed once.
     """
-    _, end, texts = subword_text(word, gaps, dedup)
+    _, end, texts = subword_text(word, gaps)
     return [s for text in texts for s in text.split(end)]

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapwords
-from gapwords import cli, counting, intervals, latin
+from gapwords import cli, counting, intervals, latin, oracle
 from gapwords.cli import COMMANDS, FORMATS, METHODS, CLIError, format_gaps, main, parse_args, parse_gap_spec
 from gapwords.words import GapSet
 
@@ -526,8 +526,8 @@ class TestEnumerateText:
         for word, spec in product(TEXT_WORDS, ("1-n-1", "1,3")):
             gaps = parse_gap_spec(spec, len(word))
             for dedup, singles in product((False, True), repeat=2):
-                letters = (sorted(set(word)) if dedup else list(word)) if singles else []
-                listing = sorted(latin.nontrivial_subwords(word, gaps, dedup) + letters)
+                letters = sorted(set(word)) if singles else []
+                listing = sorted(latin.nontrivial_subwords(word, gaps) + letters)
                 argv = ["enumerate", "--word", word, "--gaps", spec]
                 argv += ["--dedup"] * dedup + ["--include-single"] * singles
                 record = {"word": word, "gaps": list(gaps), "count": str(len(listing)), "subwords": listing}
@@ -540,6 +540,42 @@ class TestEnumerateText:
                 }
                 for fmt, out in expected.items():
                     assert run_cli(capsys, *argv, "--format", fmt) == (0, out, ""), (argv, fmt)
+
+
+# Gap specs for words of up to 10 letters: none, single gaps, lists, ranges,
+# ranges up to n-1, and gaps past the word's length.
+LISTING_SPECS = ("{}", "1", "2", "1,3", "2-3", "1-3", "2-n-1", "1-n-1", "3,5-7", "4-6")
+
+
+class TestOneMeaning:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        word=st.text(alphabet="abc", min_size=1, max_size=10),
+        spec=st.sampled_from(LISTING_SPECS),
+        singles=st.booleans(),
+    )
+    def test_listing_is_the_distinct_oracle_subwords(self, word, spec, singles):
+        # the same bytes with and without --dedup, in every format: the
+        # sorted distinct subwords of length >= 2, the letters with
+        # --include-single, and their number
+        found = oracle.enumerate_subwords(word, parse_gap_spec(spec, len(word)))
+        listing = sorted(s for s in found if len(s) > 1 or singles)
+        argv = ["enumerate", "--word", word, "--gaps", spec] + ["--include-single"] * singles
+        for fmt in FORMATS:
+            outs = []
+            for dedup in ([], ["--dedup"]):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert main([*argv, *dedup, "--format", fmt]) == 0
+                outs.append(out.getvalue())
+            assert outs[0] == outs[1], (argv, fmt)
+            if fmt == "plain":
+                assert outs[0] == "".join(s + "\n" for s in [*listing, f"count: {len(listing)}"])
+            elif fmt == "json":
+                record = json.loads(outs[0])
+                assert (record["count"], record["subwords"]) == (str(len(listing)), listing)
+            else:
+                assert outs[0] == "".join(s + "\r\n" for s in ["subword", *listing])
 
 
 class TestSeries:
@@ -834,7 +870,7 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--n-max", "4", "--d-max", "2")
         assert code == 0
         assert "oracle(n=4): Warshall=methods=enumeration=oracle over all gap sets (8): PASS" in out
-        routes = "enumeration=set-valued Warshall=oracle (with and without dedup)"
+        routes = "enumeration=set-valued Warshall=oracle"
         assert f"oracle(words over ab, n<=4): {routes} over 58 sampled word/gap-set pairs: PASS" in out
 
     def test_closed_form_fault_is_caught(self, capsys, monkeypatch):
@@ -874,14 +910,15 @@ class TestCheck:
         assert "enumeration mismatch" in out
 
     def test_listing_fault_on_repeated_letters_is_caught(self, capsys, monkeypatch):
-        # a listing that merges the copies of a string from several cells
-        # leaves rainbow words as they are; only the words over {a,b} show it
-        text = latin.subword_text
+        # a listing that repeats a string once per (start, end) cell that
+        # spells it leaves rainbow words as they are; only the words over
+        # {a,b} show it
+        def cell_copies(word, gaps, dedup=False, singles=False):
+            final = latin.warshall_latin(latin.initial_latin_matrix(word, gaps))
+            lines = sorted([s for row in final for cell in row for s in cell] + list(word) * singles)
+            return len(lines), "\n", iter(["\n".join(lines)] if lines else [])
 
-        def merge_copies(word, gaps, dedup=False, singles=False):
-            return text(word, gaps, True, singles)
-
-        monkeypatch.setattr(latin, "subword_text", merge_copies)
+        monkeypatch.setattr(latin, "subword_text", cell_copies)
         code, out, _ = run_cli(capsys, "check", "--n-max", "6")
         assert code == 1
         assert "oracle(n=6): Warshall=methods=enumeration=oracle over all gap sets (32): PASS" in out
@@ -1060,8 +1097,10 @@ class TestEntryPoint:
             ("ascii", ["enumerate", "--word", "aéb", "--gaps", "1", "--format", "csv"], 2),
             ("ascii", ["enumerate", "--word", "aéb", "--gaps", "1", "--format", "json"], 0),  # json escapes é
             ("utf-8", ["enumerate", "--word", b"a\xffb", "--gaps", "1"], 2),  # \xff decodes to a surrogate
+            # 27,383 bytes of subwords sort before the first one that starts with é
+            ("ascii", ["enumerate", "--word", "éabcdefghijkl", "--gaps", "1-n-1"], 2),
         ],
-        ids=["check", "plain", "csv", "json", "undecodable-argv"],
+        ids=["check", "plain", "csv", "json", "undecodable-argv", "long-word"],
     )
     def test_letter_stdout_cannot_encode_is_one_line(self, encoding, argv, code):
         env = dict(source_env(), PYTHONIOENCODING=encoding)
@@ -1074,6 +1113,7 @@ class TestEntryPoint:
         else:
             line = f"gapwords: stdout's encoding {encoding} cannot write ".encode()
             assert proc.stderr.startswith(line) and proc.stderr.count(b"\n") == 1
+            assert proc.stdout == b""
 
     def test_closed_fd_2_at_start_is_no_error(self):
         # With fd 2 closed, sys.stderr is None; the run still flushes stdout and exits 0.

@@ -105,11 +105,12 @@ class TestNontrivialSubwords:
         ]
 
     def test_non_rainbow_keeps_cell_copies_without_dedup(self):
-        # once per (start, end) cell: aa in six cells, ab and aba in three, ba in six
-        raw = nontrivial_subwords("aabbbaaa", range(3, 8))
-        assert raw == ["aa"] * 6 + ["ab"] * 3 + ["aba"] * 3 + ["ba"] * 6
+        # the set pass holds a string once per (start, end) cell: aa in six
+        # cells, ab and aba in three, ba in six; the listing holds it once
         final = warshall_latin(initial_latin_matrix("aabbbaaa", range(3, 8)))
-        assert raw == sorted(s for row in final for cell in row for s in cell)
+        cells = sorted(s for row in final for cell in row for s in cell)
+        assert cells == ["aa"] * 6 + ["ab"] * 3 + ["aba"] * 3 + ["ba"] * 6
+        assert nontrivial_subwords("aabbbaaa", range(3, 8)) == sorted(set(cells))
 
     def test_empty_gap_set(self):
         assert nontrivial_subwords("abcde", ()) == []
@@ -197,8 +198,8 @@ class TestSubwordRuns:
     def test_rainbow_runs_match_warshall_cells_and_oracle(self, monkeypatch):
         # every gap set for every prefix of length <= 7 of a rainbow word and
         # every word with repeated letters, with as few stored runs as each
-        # budget allows, up to all of them: a non-rainbow word lists each
-        # cell's strings once per cell, or each string once with dedup
+        # budget allows, up to all of them: each distinct string of the cells
+        # is listed once, with dedup or without
         rainbow = [text[:n] for text in (*OUT_OF_ORDER, rainbow_word(7).text) for n in range(1, len(text) + 1)]
         for w in (*rainbow, *REPEATED):
             n = len(w)
@@ -207,15 +208,10 @@ class TestSubwordRuns:
                     final = warshall_latin(initial_latin_matrix(w, m))
                     cells = sorted(s for row in final for cell in row for s in cell)
                     assert set(cells) | set(w) == oracle.enumerate_subwords(w, m), (w, m)
-                    expected = {
-                        (False, False): cells,
-                        (True, False): sorted(set(cells)),
-                        (False, True): sorted(cells + list(w)),
-                        (True, True): sorted(set(cells) | set(w)),
-                    }
+                    expected = {False: sorted(set(cells)), True: sorted(set(cells) | set(w))}
                     for budget in BUDGETS:
                         monkeypatch.setattr(latin, "_BUDGET", budget)
-                        for (dedup, singles), listing in expected.items():
+                        for dedup, (singles, listing) in product((False, True), expected.items()):
                             count, runs = split_batches(w, m, dedup, singles)
                             flat = [s for run in runs for s in run]
                             assert (count, flat) == (len(listing), listing), (w, m, budget, dedup, singles)
@@ -236,8 +232,7 @@ class TestSubwordRuns:
     def test_singles_on_non_rainbow_words(self):
         for dedup in (False, True):
             count, runs = split_batches("abab", [1, 2], dedup, True)
-            singles = sorted(set("abab")) if dedup else sorted("abab")
-            expected = sorted(chain(singles, nontrivial_subwords("abab", [1, 2], dedup=dedup)))
+            expected = sorted(chain("ab", nontrivial_subwords("abab", [1, 2])))
             assert (count, list(chain(*runs))) == (len(expected), expected)
             assert all(run == sorted(run) for run in runs)
 
@@ -255,21 +250,17 @@ class TestSubwordText:
         assert subword_text(word, [1])[1] == end
 
     def test_batches_are_the_listing_joined_by_the_line_end(self, monkeypatch):
-        # the lines of every batch, in order, are the listing of the set-valued
-        # pass, for every budget from one stored run up to all, and no batch is empty
+        # the lines of every batch, in order, are the distinct strings of the
+        # set-valued pass, for every budget from one stored run up to all, and
+        # no batch is empty
         for w in (*TEXT_WORDS, "abcdefg", "aabbbaaa"):
             for m in ((), (1,), (1, 3), range(1, len(w))):
                 final = warshall_latin(initial_latin_matrix(w, m))
-                cells = sorted(s for row in final for cell in row for s in cell)
-                expected = {
-                    (False, False): cells,
-                    (True, False): sorted(set(cells)),
-                    (False, True): sorted(cells + list(w)),
-                    (True, True): sorted(set(cells) | set(w)),
-                }
+                cells = {s for row in final for cell in row for s in cell}
+                expected = {False: sorted(cells), True: sorted(cells | set(w))}
                 for budget in BUDGETS:
                     monkeypatch.setattr(latin, "_BUDGET", budget)
-                    for (dedup, singles), listing in expected.items():
+                    for dedup, (singles, listing) in product((False, True), expected.items()):
                         count, end, texts = subword_text(w, m, dedup, singles)
                         texts = list(texts)
                         lines = [s for text in texts for s in text.split(end)]
